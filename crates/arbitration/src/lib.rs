@@ -16,6 +16,11 @@
 //! * [`SeparableAllocator`] — the two-stage request/grant allocator used
 //!   for virtual-channel allocation.
 //!
+//! All three work on one-word request masks ([`mask`]), as the circuits
+//! do on request wires, so each covers at most
+//! [`MAX_REQUESTORS`](mask::MAX_REQUESTORS) requestors. The `&[bool]` and
+//! request-pair entry points pack their arguments into masks.
+//!
 //! # Example
 //!
 //! ```
@@ -31,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod mask;
 pub mod matrix;
 pub mod round_robin;
 pub mod separable;

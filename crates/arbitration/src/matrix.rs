@@ -7,18 +7,21 @@
 //! the winner to the bottom preserves a total order, so a winner always
 //! exists and is unique — the arbiter is *strongly fair*
 //! (least-recently-served).
+//!
+//! The matrix is stored as it is wired: one machine word per requestor
+//! row, so an arbiter covers at most [`MAX_REQUESTORS`] requestors. A
+//! grant is one mask test per active requestor and a demotion is one
+//! store per row.
 
+use crate::mask::{low_bits, pack, MAX_REQUESTORS};
 use std::fmt;
 
 /// A behavioral `n:1` matrix arbiter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatrixArbiter {
-    n: usize,
-    /// Flattened `n × n` priority matrix: `beats[i * n + j]` is true when
-    /// requestor `i` has priority over `j` (`i != j`; the diagonal is
-    /// unused and kept false). One contiguous slab — the inner loop of
-    /// every switch/VC arbitration walks it row-wise.
-    beats: Box<[bool]>,
+    /// One row per requestor: bit `j` of `beats[i]` is set when requestor
+    /// `i` has priority over `j` (the diagonal bit is always clear).
+    beats: Box<[u64]>,
 }
 
 impl MatrixArbiter {
@@ -27,23 +30,25 @@ impl MatrixArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0` or `n > MAX_REQUESTORS`.
     #[must_use]
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "an arbiter needs at least one requestor");
-        let mut beats = vec![false; n * n].into_boxed_slice();
-        for i in 0..n {
-            for j in 0..n {
-                beats[i * n + j] = i < j;
-            }
+        assert!(
+            n <= MAX_REQUESTORS,
+            "an arbiter covers at most {MAX_REQUESTORS} requestors, got {n}"
+        );
+        // Row i beats every higher index: the bits above i, within n.
+        let all = low_bits(n);
+        MatrixArbiter {
+            beats: (0..n).map(|i| all & !low_bits(i + 1)).collect(),
         }
-        MatrixArbiter { n, beats }
     }
 
     /// Number of requestors.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.n
+        self.beats.len()
     }
 
     /// Always false: an arbiter has at least one requestor.
@@ -68,47 +73,60 @@ impl MatrixArbiter {
 
     /// Combinational arbitration: returns the winner without touching the
     /// priority state (the grant-enable path of the circuit; useful when a
-    /// grant may later be cancelled, e.g. failed speculation).
+    /// grant may later be cancelled, e.g. failed speculation). Packs
+    /// `requests` and defers to [`MatrixArbiter::peek_mask`].
     ///
     /// # Panics
     ///
     /// Panics if `requests.len() != self.len()`.
-    #[inline]
     #[must_use]
     pub fn peek(&self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(
-            requests.len(),
-            self.n,
-            "request vector length {} != arbiter size {}",
-            requests.len(),
-            self.n
+        self.peek_mask(pack(requests, self.len()))
+    }
+
+    /// [`MatrixArbiter::peek`] over a request mask (bit `i` = requestor
+    /// `i` requests): the requestor `i` whose row beats every other
+    /// requestor, i.e. `req & !beats[i] == 1 << i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `req` has a bit at or above `len()`.
+    #[inline]
+    #[must_use]
+    pub fn peek_mask(&self, req: u64) -> Option<usize> {
+        debug_assert_eq!(
+            req & !low_bits(self.len()),
+            0,
+            "request beyond arbiter size"
         );
-        (0..self.n).find(|&i| {
-            let row = &self.beats[i * self.n..(i + 1) * self.n];
-            requests[i] && (0..self.n).all(|j| j == i || !requests[j] || row[j])
-        })
+        let mut rest = req;
+        while rest != 0 {
+            let i = rest.trailing_zeros() as usize;
+            if req & !self.beats[i] == 1 << i {
+                return Some(i);
+            }
+            rest &= rest - 1;
+        }
+        None
     }
 
     /// Demotes `winner` to lowest priority (the `h` overhead path of the
-    /// circuit). Exposed so callers using [`MatrixArbiter::peek`] can
-    /// commit the update only for grants that stand.
+    /// circuit): its row is cleared and its bit set in every other row.
+    /// Exposed so callers using [`MatrixArbiter::peek`] can commit the
+    /// update only for grants that stand.
     ///
     /// # Panics
     ///
     /// Panics if `winner >= self.len()`.
     #[inline]
     pub fn demote(&mut self, winner: usize) {
-        assert!(
-            winner < self.n,
-            "requestor {winner} out of range {}",
-            self.n
-        );
-        for j in 0..self.n {
-            if j != winner {
-                self.beats[winner * self.n + j] = false;
-                self.beats[j * self.n + winner] = true;
-            }
+        let n = self.len();
+        assert!(winner < n, "requestor {winner} out of range {n}");
+        let bit = 1u64 << winner;
+        for row in self.beats.iter_mut() {
+            *row |= bit;
         }
+        self.beats[winner] = 0;
         debug_assert!(self.is_total_order(), "matrix must remain a total order");
     }
 
@@ -123,8 +141,8 @@ impl MatrixArbiter {
             i != j,
             "priority between a requestor and itself is undefined"
         );
-        assert!(i < self.n && j < self.n, "index out of range");
-        self.beats[i * self.n + j]
+        assert!(i < self.len() && j < self.len(), "index out of range");
+        self.beats[i] >> j & 1 == 1
     }
 
     /// Invariant check: the matrix encodes a strict total order
@@ -134,41 +152,32 @@ impl MatrixArbiter {
     /// path, and the hot tick must not allocate even in debug builds.
     #[must_use]
     pub fn is_total_order(&self) -> bool {
-        // Antisymmetry.
-        for i in 0..self.n {
-            for j in 0..self.n {
-                if i != j && self.beats[i * self.n + j] == self.beats[j * self.n + i] {
-                    return false;
-                }
+        let n = self.len();
+        let all = low_bits(n);
+        // Antisymmetry and totality: `i` beats exactly the other
+        // requestors that do not beat it. A strict total order on a finite
+        // set then has exactly one element beating k others for each k in
+        // 0..n, so the win counts must be pairwise distinct.
+        let mut counts = 0u64;
+        for (i, &row) in self.beats.iter().enumerate() {
+            let beaten_by = (0..n).fold(0u64, |m, j| m | (self.beats[j] >> i & 1) << j);
+            if row != all & !beaten_by & !(1 << i) {
+                return false;
             }
-        }
-        // A strict total order on a finite set has exactly one element
-        // beating k others for each k in 0..n: the win counts are a
-        // permutation of 0..n. With antisymmetry already established,
-        // checking the counts are pairwise distinct suffices.
-        for i in 0..self.n {
-            let wins_i = self.wins(i);
-            for j in 0..i {
-                if self.wins(j) == wins_i {
-                    return false;
-                }
+            let bit = 1u64 << row.count_ones();
+            if counts & bit != 0 {
+                return false;
             }
+            counts |= bit;
         }
         true
-    }
-
-    /// How many other requestors `i` currently beats.
-    fn wins(&self, i: usize) -> usize {
-        (0..self.n)
-            .filter(|&j| j != i && self.beats[i * self.n + j])
-            .count()
     }
 
     /// The current priority ranking, highest first (diagnostic).
     #[must_use]
     pub fn ranking(&self) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.n).collect();
-        idx.sort_by_key(|&i| std::cmp::Reverse(self.wins(i)));
+        let mut idx: Vec<usize> = (0..self.len()).collect();
+        idx.sort_by_key(|&i| std::cmp::Reverse(self.beats[i].count_ones()));
         idx
     }
 }
@@ -178,7 +187,7 @@ impl fmt::Display for MatrixArbiter {
         write!(
             f,
             "MatrixArbiter(n={}, ranking={:?})",
-            self.n,
+            self.len(),
             self.ranking()
         )
     }

@@ -4,7 +4,11 @@
 //! output-VC selection in the VC allocator's first stage and virtual
 //! channel selection in the network interface. Weakly fair: a persistent
 //! requestor is served within `n` grants.
+//!
+//! Like the matrix arbiter it covers at most [`MAX_REQUESTORS`]
+//! requestors, one bit each of a request mask.
 
+use crate::mask::{low_bits, pack, MAX_REQUESTORS};
 use std::fmt;
 
 /// A behavioral `n:1` round-robin arbiter.
@@ -19,10 +23,14 @@ impl RoundRobinArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0` or `n > MAX_REQUESTORS`.
     #[must_use]
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "an arbiter needs at least one requestor");
+        assert!(
+            n <= MAX_REQUESTORS,
+            "an arbiter covers at most {MAX_REQUESTORS} requestors, got {n}"
+        );
         RoundRobinArbiter { n, next: 0 }
     }
 
@@ -56,24 +64,37 @@ impl RoundRobinArbiter {
         Some(winner)
     }
 
-    /// Combinational arbitration without pointer update.
+    /// Combinational arbitration without pointer update. Packs
+    /// `requests` and defers to [`RoundRobinArbiter::peek_mask`].
     ///
     /// # Panics
     ///
     /// Panics if `requests.len() != self.len()`.
-    #[inline]
     #[must_use]
     pub fn peek(&self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(
-            requests.len(),
-            self.n,
-            "request vector length {} != arbiter size {}",
-            requests.len(),
-            self.n
-        );
-        (0..self.n)
-            .map(|k| (self.next + k) % self.n)
-            .find(|&i| requests[i])
+        self.peek_mask(pack(requests, self.n))
+    }
+
+    /// [`RoundRobinArbiter::peek`] over a request mask (bit `i` =
+    /// requestor `i` requests): the lowest requestor at or after the
+    /// pointer, else the lowest one before it.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `req` has a bit at or above `len()`.
+    #[inline]
+    #[must_use]
+    pub fn peek_mask(&self, req: u64) -> Option<usize> {
+        debug_assert_eq!(req & !low_bits(self.n), 0, "request beyond arbiter size");
+        if req == 0 {
+            return None;
+        }
+        let ahead = req >> self.next;
+        Some(if ahead != 0 {
+            self.next + ahead.trailing_zeros() as usize
+        } else {
+            req.trailing_zeros() as usize
+        })
     }
 
     /// Advances the pointer past `winner` (commit of a peeked grant).

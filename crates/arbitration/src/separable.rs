@@ -14,7 +14,13 @@
 //! does not cost an input its priority. Separable allocation trades a
 //! little matching efficiency for single-cycle implementability — exactly
 //! the trade the paper's §3.2 describes.
+//!
+//! Requests are bit masks, as in the circuit: each input presents one
+//! request row over the resources, and stage 1 turns the rows into one
+//! contender mask per resource over the inputs. Both dimensions are
+//! therefore at most [`MAX_REQUESTORS`] wide.
 
+use crate::mask::{low_bits, Bits, MAX_REQUESTORS};
 use crate::matrix::MatrixArbiter;
 use crate::round_robin::RoundRobinArbiter;
 use std::fmt;
@@ -31,17 +37,14 @@ pub struct Grant {
 /// A separable `n_in × n_out` allocator with persistent arbiter state.
 #[derive(Debug, Clone)]
 pub struct SeparableAllocator {
-    n_in: usize,
-    n_out: usize,
     stage1: Vec<RoundRobinArbiter>,
     stage2: Vec<MatrixArbiter>,
-    // Scratch buffers, retained to avoid per-cycle allocation.
-    chosen: Vec<Option<usize>>,
-    contenders: Vec<bool>,
-    /// Per-input request masks over resources, flattened `n_in × n_out`.
-    /// Always all-false between allocations (set and cleared per call).
-    req_mask: Vec<bool>,
-    has_req: Vec<bool>,
+    /// Per-input request rows over resources, filled from request pairs
+    /// by [`SeparableAllocator::allocate_into`]; all zero between calls.
+    req_rows: Box<[u64]>,
+    /// Per-resource masks of the inputs whose stage-1 arbiter chose it;
+    /// all zero between calls.
+    contenders: Box<[u64]>,
 }
 
 impl SeparableAllocator {
@@ -49,35 +52,35 @@ impl SeparableAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero or exceeds `MAX_REQUESTORS`.
     #[must_use]
     pub fn new(n_in: usize, n_out: usize) -> Self {
         assert!(
             n_in > 0 && n_out > 0,
             "allocator dimensions must be positive"
         );
+        assert!(
+            n_in <= MAX_REQUESTORS && n_out <= MAX_REQUESTORS,
+            "allocator dimensions must be at most {MAX_REQUESTORS}, got {n_in}x{n_out}"
+        );
         SeparableAllocator {
-            n_in,
-            n_out,
             stage1: (0..n_in).map(|_| RoundRobinArbiter::new(n_out)).collect(),
             stage2: (0..n_out).map(|_| MatrixArbiter::new(n_in)).collect(),
-            chosen: vec![None; n_in],
-            contenders: vec![false; n_in],
-            req_mask: vec![false; n_in * n_out],
-            has_req: vec![false; n_in],
+            req_rows: vec![0; n_in].into_boxed_slice(),
+            contenders: vec![0; n_out].into_boxed_slice(),
         }
     }
 
     /// Number of inputs.
     #[must_use]
     pub fn inputs(&self) -> usize {
-        self.n_in
+        self.stage1.len()
     }
 
     /// Number of resources.
     #[must_use]
     pub fn outputs(&self) -> usize {
-        self.n_out
+        self.stage2.len()
     }
 
     /// Performs one allocation. `requests` lists `(input, resource)`
@@ -94,49 +97,74 @@ impl SeparableAllocator {
     }
 
     /// [`SeparableAllocator::allocate`] into a caller-provided buffer
-    /// (cleared first). All working state is retained scratch, so a
-    /// steady-state allocation performs no heap allocation at all — the
-    /// router tick path calls this every cycle.
+    /// (cleared first): packs the pairs into request rows and defers to
+    /// [`SeparableAllocator::allocate_masks`]. A steady-state call
+    /// performs no heap allocation.
     ///
     /// # Panics
     ///
     /// Panics if any index is out of range.
     pub fn allocate_into(&mut self, requests: &[(usize, usize)], grants: &mut Vec<Grant>) {
-        grants.clear();
-        // Build per-input request masks over resources (rows of the
-        // retained flattened mask, cleared again before returning).
+        let (n_in, n_out) = (self.inputs(), self.outputs());
+        let mut inputs = 0u64;
         for &(i, r) in requests {
-            assert!(i < self.n_in, "input {i} out of range {}", self.n_in);
-            assert!(r < self.n_out, "resource {r} out of range {}", self.n_out);
-            self.req_mask[i * self.n_out + r] = true;
-            self.has_req[i] = true;
+            assert!(i < n_in, "input {i} out of range {n_in}");
+            assert!(r < n_out, "resource {r} out of range {n_out}");
+            self.req_rows[i] |= 1 << r;
+            inputs |= 1 << i;
         }
-
-        // Stage 1: each input picks one candidate resource (peek only;
-        // commit on final grant).
-        for i in 0..self.n_in {
-            self.chosen[i] = if self.has_req[i] {
-                let row = &self.req_mask[i * self.n_out..(i + 1) * self.n_out];
-                self.stage1[i].peek(row)
-            } else {
-                None
-            };
+        let rows = std::mem::take(&mut self.req_rows);
+        self.allocate_masks(inputs, |i| rows[i], grants);
+        self.req_rows = rows;
+        for i in Bits(inputs) {
+            self.req_rows[i] = 0;
         }
+    }
 
-        // Stage 2: each resource arbitrates among the inputs that chose it.
-        for r in 0..self.n_out {
-            self.contenders.iter_mut().for_each(|c| *c = false);
-            let mut any = false;
-            for i in 0..self.n_in {
-                if self.chosen[i] == Some(r) {
-                    self.contenders[i] = true;
-                    any = true;
-                }
+    /// One allocation over request masks: every input `i` set in `inputs`
+    /// requests the resources set in `row(i)` (which may be empty).
+    /// Grants are pushed into `grants` (cleared first) in ascending
+    /// resource order, at most one per input and one per resource.
+    ///
+    /// Stage 1 visits the requesting inputs once, each picking one
+    /// resource from its row and joining that resource's contender mask;
+    /// stage 2 visits the chosen resources in ascending order, each
+    /// granting one contender. Allocation-free — the router tick path
+    /// calls this every cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `inputs` or a row has a bit beyond the
+    /// allocator's dimensions.
+    #[inline]
+    pub fn allocate_masks(
+        &mut self,
+        inputs: u64,
+        row: impl Fn(usize) -> u64,
+        grants: &mut Vec<Grant>,
+    ) {
+        grants.clear();
+        debug_assert_eq!(
+            inputs & !low_bits(self.inputs()),
+            0,
+            "input beyond allocator"
+        );
+        let mut chosen = 0u64;
+        for i in Bits(inputs) {
+            let req = row(i);
+            debug_assert_eq!(
+                req & !low_bits(self.outputs()),
+                0,
+                "resource beyond allocator"
+            );
+            if let Some(r) = self.stage1[i].peek_mask(req) {
+                self.contenders[r] |= 1 << i;
+                chosen |= 1 << r;
             }
-            if !any {
-                continue;
-            }
-            if let Some(winner) = self.stage2[r].peek(&self.contenders) {
+        }
+        for r in Bits(chosen) {
+            let contenders = std::mem::take(&mut self.contenders[r]);
+            if let Some(winner) = self.stage2[r].peek_mask(contenders) {
                 self.stage2[r].demote(winner);
                 self.stage1[winner].advance_past(r);
                 grants.push(Grant {
@@ -145,18 +173,17 @@ impl SeparableAllocator {
                 });
             }
         }
-
-        // Restore the all-false invariant by clearing only the set bits.
-        for &(i, r) in requests {
-            self.req_mask[i * self.n_out + r] = false;
-            self.has_req[i] = false;
-        }
     }
 }
 
 impl fmt::Display for SeparableAllocator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SeparableAllocator({}x{})", self.n_in, self.n_out)
+        write!(
+            f,
+            "SeparableAllocator({}x{})",
+            self.inputs(),
+            self.outputs()
+        )
     }
 }
 

@@ -42,7 +42,10 @@
 //! `dropped_packets` with a per-reason breakdown, and
 //! `unreachable_pairs`; every row (healthy or degraded) reports the
 //! latency percentiles `p50`/`p95`/`p99`, so the file shows the tail
-//! shift a degraded fabric causes next to the healthy baseline.
+//! shift a degraded fabric causes next to the healthy baseline. A
+//! percentile beyond the histogram's range prints as `null` beside
+//! `"saturated": true` and the exact `max` (the worst flow's likewise,
+//! with `"flow_saturated"`), never as 0 or as the clamp value.
 //!
 //! `--metrics-out PATH` streams epoch-boundary metrics snapshots (one
 //! JSON object per line — the [`noc_network::JsonlTap`] format) from one
@@ -83,6 +86,7 @@ use noc_network::{
     NetworkConfig, PhaseNanos, RouterKind, RunResult, TrafficPattern,
 };
 use repro_bench::meta;
+use repro_bench::tails::Tails;
 use runqueue::{run_tasks, CancelToken, Task};
 use std::time::Instant;
 
@@ -96,19 +100,11 @@ struct Point {
     phases: PhaseNanos,
     baseline_event_ms: Option<f64>,
     parallel: Option<ParallelPoint>,
-    /// Latency percentile upper bounds of the (verified-identical)
+    /// Latency tails of the (verified-identical, telemetry-carrying)
     /// reference run, so degraded rows show their tail shift against
-    /// the healthy ones.
-    p50: u64,
-    p95: u64,
-    p99: u64,
-    /// Source→destination flows that delivered tagged packets, and the
-    /// worst flow's percentiles — from the telemetry-carrying
-    /// verification run (worst = max by (p99, p95, p50)).
-    flows: u64,
-    flow_p50: u64,
-    flow_p95: u64,
-    flow_p99: u64,
+    /// the healthy ones: run-level percentiles, the worst flow's (worst
+    /// = max by (p99, p95, p50)), and the true maximum.
+    tails: Tails,
     /// Fault accounting when this row ran under `--faults`.
     degraded: Option<Degraded>,
 }
@@ -612,8 +608,6 @@ fn measure_point(
                 .map(|&(_, ms)| ms)
         })
         .flatten();
-    let pct = reference.histogram.percentiles();
-    let worst = reference.flow_stats.as_ref().and_then(|f| f.worst());
     Point {
         load,
         pattern: pc.pattern.clone(),
@@ -624,13 +618,7 @@ fn measure_point(
         phases,
         baseline_event_ms: baseline_event,
         parallel,
-        p50: pct.p50.unwrap_or(0),
-        p95: pct.p95.unwrap_or(0),
-        p99: pct.p99.unwrap_or(0),
-        flows: reference.flow_stats.as_ref().map_or(0, |f| f.flows()),
-        flow_p50: worst.map_or(0, |(_, _, p)| p.p50),
-        flow_p95: worst.map_or(0, |(_, _, p)| p.p95),
-        flow_p99: worst.map_or(0, |(_, _, p)| p.p99),
+        tails: Tails::of(&reference),
         degraded: faulted.then_some(Degraded {
             delivered_ratio: reference.delivered_ratio,
             dropped_flits: reference.dropped_flits,
@@ -670,11 +658,11 @@ fn export_telemetry(opts: &Options, mesh: Mesh) {
     }
     let r = net.run();
     if let Some(path) = &opts.metrics_out {
-        let worst = r.flow_stats.as_ref().and_then(|f| f.worst());
+        let t = Tails::of(&r);
         eprintln!(
-            "bench-engines: {} epoch snapshot(s) -> {path} (worst flow p99: {} cycles)",
+            "bench-engines: {} epoch snapshot(s) -> {path} (worst flow p50/p95/p99: {} cycles)",
             r.metrics.as_ref().map_or(0, |m| m.len()),
-            worst.map_or(0, |(_, _, p)| p.p99),
+            Tails::render([t.flow_p50, t.flow_p95, t.flow_p99]),
         );
     }
     if let Some(path) = &opts.trace_out {
@@ -1059,8 +1047,7 @@ fn main() {
                  \"cycle_driven_ms\": {:.2}, \
                  \"event_driven_ms\": {:.2}, \"speedup\": {:.2}, \
                  \"router_ticks_skipped_pct\": {:.1}, \
-                 \"p50\": {}, \"p95\": {}, \"p99\": {}, \
-                 \"flows\": {}, \"flow_p50\": {}, \"flow_p95\": {}, \"flow_p99\": {}, \
+                 {}, \
                  \"phase_pct\": {{\"delivery\": {:.1}, \"sources\": {:.1}, \
                  \"router_tick\": {:.1}, \"stats\": {:.1}}}\
                  {degraded_fields}{baseline_fields}{parallel_fields}}}{comma}",
@@ -1070,13 +1057,7 @@ fn main() {
                 p.event_ms,
                 p.speedup,
                 p.ticks_skipped_pct,
-                p.p50,
-                p.p95,
-                p.p99,
-                p.flows,
-                p.flow_p50,
-                p.flow_p95,
-                p.flow_p99,
+                p.tails.json_fields(),
                 ph.pct(ph.delivery),
                 ph.pct(ph.sources),
                 ph.pct(ph.router),
@@ -1105,22 +1086,22 @@ fn main() {
                 vs,
                 p.phases
             );
+            let t = &p.tails;
             println!(
-                "       flows: {} measured, worst p50/p95/p99 {}/{}/{} cycles",
-                p.flows, p.flow_p50, p.flow_p95, p.flow_p99
+                "       flows: {} measured, worst p50/p95/p99 {} cycles",
+                t.flows,
+                Tails::render([t.flow_p50, t.flow_p95, t.flow_p99])
             );
             if let Some(d) = &p.degraded {
                 println!(
                     "       degraded({}): delivered {:.4}, dropped {} flits / {} packets, \
-                     {} unreachable pairs, p50/p95/p99 {}/{}/{}",
+                     {} unreachable pairs, p50/p95/p99 {}",
                     opts.faults_spec,
                     d.delivered_ratio,
                     d.dropped_flits,
                     d.dropped_packets,
                     d.unreachable_pairs,
-                    p.p50,
-                    p.p95,
-                    p.p99,
+                    Tails::render([p.tails.p50, p.tails.p95, p.tails.p99]),
                 );
             }
             if let Some(pp) = &p.parallel {

@@ -367,6 +367,15 @@ priority = 2.5
                 "[[job]]\nloads = [0.1]\nvcs = 1\nrouter = \"vc\"\ntorus = true\n",
                 "dateline",
             ),
+            // 5 ports x 13 VCs: one channel more than a router's masks.
+            (
+                "[[job]]\nloads = [0.1]\nvcs = 13\n",
+                "65 channels per router",
+            ),
+            (
+                "[[job]]\nloads = [0.1]\nrouter = \"vc\"\nvcs = 99999999999\n",
+                "one-word channel masks",
+            ),
         ] {
             let f = spec::parse(body).expect(body);
             let err = build_batch(&f).expect_err(body);

@@ -14,6 +14,7 @@
 pub mod jobfile;
 pub mod meta;
 pub mod queued;
+pub mod tails;
 
 use peh_dally::SimScale;
 

@@ -2,7 +2,7 @@
 
 use crate::topology::Mesh;
 use crate::traffic::TrafficPattern;
-use router_core::{RouterConfig, Timing};
+use router_core::{RouterConfig, Timing, MAX_CHANNELS};
 use runqueue::CancelToken;
 use std::fmt;
 
@@ -252,6 +252,14 @@ pub enum ConfigError {
         /// The configured dimension count.
         dims: usize,
     },
+    /// More input channels per router (`ports × vcs`) than fit the
+    /// router's one-word channel masks ([`MAX_CHANNELS`]).
+    TooManyChannels {
+        /// Ports per router (local included).
+        ports: usize,
+        /// The configured VC count.
+        vcs: usize,
+    },
     /// A radix beyond the route table's one-byte coordinate encoding.
     RadixTooLarge {
         /// The configured radix.
@@ -347,6 +355,14 @@ impl fmt::Display for ConfigError {
                 "adaptive routing supports at most {} dimensions, got {dims}; use \
                  RoutingAlgo::DimensionOrdered for higher-dimensional meshes",
                 crate::routing::MAX_CANDIDATES
+            ),
+            ConfigError::TooManyChannels { ports, vcs } => write!(
+                f,
+                "{ports} ports x {vcs} VCs is {} channels per router, more than the \
+                 {MAX_CHANNELS} the router's one-word channel masks hold; use at most \
+                 {} VCs per port or fewer dimensions",
+                ports.saturating_mul(vcs),
+                MAX_CHANNELS / ports
             ),
             ConfigError::RadixTooLarge { radix } => write!(
                 f,
@@ -938,8 +954,13 @@ impl NetworkConfig {
     ///
     /// See [`ConfigError`] for the rejected combinations: a torus
     /// without dateline VCs, west-first outside a 2-D mesh, a turn model
-    /// on a torus, and shapes beyond the route table's compact encoding.
+    /// on a torus, and shapes beyond the route table's compact encoding
+    /// or the routers' one-word channel masks.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        let (ports, vcs) = (self.mesh.ports(), self.router.vcs());
+        if ports.saturating_mul(vcs) > MAX_CHANNELS {
+            return Err(ConfigError::TooManyChannels { ports, vcs });
+        }
         if self.mesh.radix() > 256 {
             return Err(ConfigError::RadixTooLarge {
                 radix: self.mesh.radix(),
@@ -1187,6 +1208,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn validate_rejects_more_channels_than_one_word() {
+        let spec = |vcs| RouterKind::SpeculativeVc {
+            vcs,
+            buffers_per_vc: 4,
+        };
+        // 7 ports (3-D) x 9 VCs = 63 fits; 5 ports x 13 VCs = 65 does not.
+        let fits = NetworkConfig::for_mesh(Mesh::new(4, 3), spec(9));
+        assert_eq!(fits.validate(), Ok(()));
+        let over = NetworkConfig::mesh(4, spec(13));
+        let err = over.validate().unwrap_err();
+        assert_eq!(err, ConfigError::TooManyChannels { ports: 5, vcs: 13 });
+        let msg = err.to_string();
+        assert!(
+            msg.contains("65 channels") && msg.contains("at most 12 VCs"),
+            "{msg}"
+        );
     }
 
     #[test]

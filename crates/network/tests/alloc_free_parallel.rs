@@ -15,6 +15,7 @@ use noc_network::config::EngineKind;
 use noc_network::{Network, NetworkConfig, RouterKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAllocator;
 
@@ -43,6 +44,17 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// Held by every test for its whole run: the counter is process-global
+/// and libtest runs the tests of one binary concurrently, so one test's
+/// warm-up allocations would otherwise land in another's windows.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Steps `net` for `cycles` and returns the allocations performed.
 fn alloc_window(net: &mut Network, cycles: u64) -> u64 {
     let before = allocations();
@@ -58,6 +70,7 @@ fn alloc_window(net: &mut Network, cycles: u64) -> u64 {
 /// and ejected continuously — so every mailbox and commit path is hot.
 #[test]
 fn sharded_steady_state_is_allocation_free() {
+    let _serial = serial();
     for shards in [2, 3] {
         run_alloc_free_check(
             NetworkConfig::mesh(
@@ -93,6 +106,7 @@ fn sharded_steady_state_is_allocation_free() {
 /// executes the fused phases.)
 #[test]
 fn sharded_quiescent_cycles_are_allocation_free() {
+    let _serial = serial();
     let cfg = NetworkConfig::mesh(
         4,
         RouterKind::VirtualChannel {
@@ -136,6 +150,7 @@ fn sharded_quiescent_cycles_are_allocation_free() {
 /// allocating migration path would fail every attempt.
 #[test]
 fn sharded_rebalance_migration_is_allocation_free() {
+    let _serial = serial();
     let attempts = 3;
     let mut best_migration = u64::MAX;
     let mut best_window = u64::MAX;
@@ -209,6 +224,7 @@ fn sharded_rebalance_migration_is_allocation_free() {
 /// would show up in every window.
 #[test]
 fn telemetry_instrumented_steady_state_is_allocation_free() {
+    let _serial = serial();
     let cfg = NetworkConfig::mesh(
         4,
         RouterKind::SpeculativeVc {

@@ -311,6 +311,23 @@ fn torus_with_one_vc_is_rejected() {
 }
 
 #[test]
+fn sixty_five_channels_per_router_are_rejected_not_a_panic() {
+    // 5 ports x 13 VCs = 65 channels: one more than the router's masks.
+    let cfg = NetworkConfig::mesh(
+        4,
+        RouterKind::SpeculativeVc {
+            vcs: 13,
+            buffers_per_vc: 4,
+        },
+    );
+    let err = std::panic::catch_unwind(|| Network::try_new(cfg))
+        .expect("try_new must not panic")
+        .unwrap_err();
+    assert_eq!(err, ConfigError::TooManyChannels { ports: 5, vcs: 13 });
+    assert!(err.to_string().contains("65 channels"), "{err}");
+}
+
+#[test]
 fn west_first_on_torus_is_rejected() {
     let kind = RouterKind::VirtualChannel {
         vcs: 2,

@@ -2,6 +2,12 @@
 
 use std::fmt;
 
+/// The most input channels (`ports × vcs`) one router may have: each
+/// channel is one bit of the router's one-word channel-state and request
+/// masks, and the VC allocator is a `channels × channels` separable
+/// allocator over such masks.
+pub const MAX_CHANNELS: usize = arbitration::mask::MAX_REQUESTORS;
+
 /// Which flow-control method (and hence microarchitecture) a router uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlowControlKind {
@@ -235,6 +241,12 @@ impl RouterConfig {
             "need at least 1 buffer per VC, got {}",
             self.buffers_per_vc
         );
+        assert!(
+            self.ports.saturating_mul(self.vcs) <= MAX_CHANNELS,
+            "a router has at most {MAX_CHANNELS} channels (ports × VCs), got {} × {}",
+            self.ports,
+            self.vcs
+        );
         self.timing.validate();
     }
 }
@@ -329,5 +341,18 @@ mod tests {
     #[should_panic(expected = "at least 2 ports")]
     fn one_port_rejected() {
         let _ = RouterConfig::wormhole(1, 8);
+    }
+
+    #[test]
+    fn one_word_of_channels_is_accepted() {
+        assert_eq!(RouterConfig::speculative(8, 8, 4).ports * 8, MAX_CHANNELS);
+        let _ = RouterConfig::virtual_channel(2, 32, 4);
+        let _ = RouterConfig::wormhole(64, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 channels (ports × VCs), got 5 × 13")]
+    fn sixty_five_channels_rejected() {
+        let _ = RouterConfig::speculative(5, 13, 4);
     }
 }

@@ -54,7 +54,7 @@ pub mod stats;
 pub mod trace;
 
 pub use arena::FlitArena;
-pub use config::{FlowControlKind, RouterConfig, Timing};
+pub use config::{FlowControlKind, RouterConfig, Timing, MAX_CHANNELS};
 pub use flit::{Flit, FlitKind, PacketFlits, PacketId};
 pub use link::{DelayPipe, EventWheel};
 pub use router::{CreditOut, Departure, Router, RoutingOracle, TickOutput};

@@ -10,6 +10,7 @@
 //! [`FlitArena`]: crate::arena::FlitArena
 
 use crate::flit::PacketId;
+use arbitration::mask::{low_bits, MAX_REQUESTORS};
 use std::fmt;
 
 /// The state machine of one input virtual channel (`invc_state` /
@@ -80,13 +81,15 @@ impl fmt::Display for InputVc {
 }
 
 /// Output-side state of one port: downstream credit counters, output-VC
-/// ownership (`outvc_state` in the paper), and the wormhole hold.
+/// ownership (`outvc_state` in the paper, as a free-VC mask), and the
+/// wormhole hold.
 #[derive(Debug, Clone)]
 pub struct OutputPort {
     credits: Vec<u64>,
     credit_cap: Vec<u64>,
-    /// Which (input port, input VC) owns each output VC, if any.
-    pub owner: Vec<Option<(usize, usize)>>,
+    /// Unowned output VCs (bit `i` = VC `i` is free). The owning input
+    /// channel of a claimed VC is the one whose state is `Active` on it.
+    free: u64,
     /// Which input port holds this output (wormhole only).
     pub holder: Option<usize>,
     sink: bool,
@@ -95,12 +98,20 @@ pub struct OutputPort {
 impl OutputPort {
     /// Creates an output port with `vcs` downstream VCs, zero credits
     /// until [`OutputPort::set_credits`] is called.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vcs` does not fit the one-word free-VC mask (64).
     #[must_use]
     pub fn new(vcs: usize) -> Self {
+        assert!(
+            vcs <= MAX_REQUESTORS,
+            "an output port has at most {MAX_REQUESTORS} VCs, got {vcs}"
+        );
         OutputPort {
             credits: vec![0; vcs],
             credit_cap: vec![0; vcs],
-            owner: vec![None; vcs],
+            free: low_bits(vcs),
             holder: None,
             sink: false,
         }
@@ -168,13 +179,29 @@ impl OutputPort {
         self.credits[vc] += 1;
     }
 
-    /// The free (unowned) output VCs, in ascending index order, without
-    /// allocating — the VC allocator walks this every cycle.
-    pub fn free_vcs_iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.owner
-            .iter()
-            .enumerate()
-            .filter_map(|(i, o)| o.is_none().then_some(i))
+    /// The free (unowned) output VCs as a mask (bit `i` = VC `i`) — the
+    /// VC allocator's request rows are built from it every cycle.
+    #[inline]
+    #[must_use]
+    pub fn free_vcs(&self) -> u64 {
+        self.free
+    }
+
+    /// Marks output VC `vc` owned (a VC-allocation grant).
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `vc` is already owned.
+    #[inline]
+    pub fn claim(&mut self, vc: usize) {
+        debug_assert!(self.free >> vc & 1 == 1, "output vc {vc} claimed twice");
+        self.free &= !(1 << vc);
+    }
+
+    /// Frees output VC `vc` (its packet's tail left).
+    #[inline]
+    pub fn release(&mut self, vc: usize) {
+        self.free |= 1 << vc;
     }
 }
 
@@ -182,8 +209,8 @@ impl fmt::Display for OutputPort {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "OutputPort(credits={:?}, sink={}, holder={:?})",
-            self.credits, self.sink, self.holder
+            "OutputPort(credits={:?}, free={:#b}, sink={}, holder={:?})",
+            self.credits, self.free, self.sink, self.holder
         )
     }
 }
@@ -245,10 +272,11 @@ mod tests {
     #[test]
     fn free_vcs_tracks_ownership() {
         let mut out = OutputPort::new(3);
-        assert_eq!(out.free_vcs_iter().collect::<Vec<_>>(), vec![0, 1, 2]);
-        out.owner[1] = Some((0, 0));
-        assert_eq!(out.free_vcs_iter().collect::<Vec<_>>(), vec![0, 2]);
-        out.owner[1] = None;
-        assert_eq!(out.free_vcs_iter().collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(out.free_vcs(), 0b111);
+        out.claim(1);
+        assert_eq!(out.free_vcs(), 0b101);
+        out.release(1);
+        assert_eq!(out.free_vcs(), 0b111);
+        assert_eq!(OutputPort::new(64).free_vcs(), u64::MAX);
     }
 }

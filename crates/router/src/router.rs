@@ -17,18 +17,42 @@
 //! `t + 1`, while single-cycle ("unit latency") routers execute grants
 //! inline in the same cycle.
 //!
+//! # The hot path walks bit masks
+//!
+//! Every input channel `(port, vc)` is one bit, `port * vcs + vc`, of a
+//! machine word — a router has at most [`MAX_CHANNELS`] of them. The
+//! router keeps its channel states as masks, updated at the state
+//! transitions themselves ([`Router::accept_flit`], switch traversal,
+//! RC, and the VA and wormhole-SA grants):
+//!
+//! * `occupied` — channels buffering at least one flit;
+//! * `allocating` and `active` — channels in those [`VcState`]s (the
+//!   rest are idle);
+//!
+//! and every [`OutputPort`] keeps a mask of its free output VCs. Each
+//! phase then visits only the set bits it needs instead of every
+//! `(port, vc)`: RC walks occupied idle channels; VA presents the
+//! eligible allocating channels to the allocator, each requesting its
+//! output port's free VCs within its routing `vc_mask`; SA stage 1 builds
+//! each input port's VC request mask from the occupied active channels;
+//! and SA stage 2 and the speculative plane each build their per-output
+//! request masks over input ports in one pass over the stage-1 winners.
+//! All arbiters are the one-word mask arbiters of the `arbitration`
+//! crate, visited in ascending index order, so grants — and the
+//! simulation — are the same as an exhaustive scan's.
+//!
 //! # The hot path is allocation-free
 //!
 //! A steady-state [`Router::tick_into`] performs **zero heap
 //! allocation** and walks contiguous memory: every input VC buffers its
-//! flits in a ring window of the router's single [`FlitArena`] slab, all
-//! per-phase working sets live in a retained [`Scratch`] struct (and in
-//! the allocators' own retained buffers), and trace capture is gated
-//! behind an `Option<Box<Trace>>` sink that costs one null test when
-//! disabled. The only allocations left are capacity growth of the
-//! caller's reused [`TickOutput`] and of `pending_st` during warm-up —
-//! both reach a fixed point after a few cycles. The claim is enforced by
-//! the counting-allocator test in `tests/alloc_free.rs`.
+//! flits in a ring window of the router's single [`FlitArena`] slab, the
+//! per-phase working sets are masks in registers plus three retained
+//! buffers, and trace capture is gated behind an `Option<Box<Trace>>`
+//! sink that costs one null test when disabled. The only allocations
+//! left are capacity growth of the caller's reused [`TickOutput`], of
+//! `pending_st` and of the VA grant list during warm-up — all reach a
+//! fixed point after a few cycles. The claim is enforced by the
+//! counting-allocator test in `tests/alloc_free.rs`.
 //!
 //! # The tick is a side-effect-free compute half
 //!
@@ -56,11 +80,12 @@
 //! below).
 
 use crate::arena::FlitArena;
-use crate::config::{FlowControlKind, RouterConfig};
+use crate::config::{FlowControlKind, RouterConfig, MAX_CHANNELS};
 use crate::flit::Flit;
 use crate::ports::{InputVc, OutputPort, VcState};
 use crate::stats::RouterStats;
 use crate::trace::{PipelineEvent, Trace, TraceEntry};
+use arbitration::mask::{low_bits, Bits};
 use arbitration::{Grant, MatrixArbiter, SeparableAllocator};
 
 /// The routing function a router consults during route computation.
@@ -133,64 +158,36 @@ struct StEntry {
     depart_at: u64,
 }
 
-/// Retained per-phase working buffers: taken out of the router at the
-/// top of a tick, threaded through the phases, and put back — so the
-/// phases can borrow scratch and router state disjointly and no phase
-/// ever allocates in steady state.
-#[derive(Debug, Clone, Default)]
+/// Retained per-phase working buffers, so no phase allocates in steady
+/// state.
+#[derive(Debug, Clone)]
 struct Scratch {
     /// ST entries due this cycle (drained from `pending_st`).
     st_due: Vec<StEntry>,
-    /// Channels that presented VA requests this cycle.
-    va_bidders: Vec<(usize, usize)>,
-    /// Flattened `(input, resource)` VA requests.
-    va_requests: Vec<(usize, usize)>,
     /// Grants returned by the VC allocator.
     va_grants: Vec<Grant>,
-    /// Channels that won an output VC this cycle.
-    va_winners: Vec<(usize, usize)>,
-    /// SA stage-1 winner per input port: `(vc, out_port, out_vc)`.
-    sa_port_winner: Vec<Option<(usize, usize, usize)>>,
-    /// `(in_port, out_port)` pairs granted non-speculatively this cycle.
-    sa_granted: Vec<(usize, usize)>,
-    /// Per-VC request flags (length `vcs`).
-    vc_reqs: Vec<bool>,
-    /// Per-VC SA targets (length `vcs`).
-    vc_targets: Vec<Option<(usize, usize)>>,
-    /// Per-port request flags (length `ports`).
-    port_reqs: Vec<bool>,
-    /// Input ports consumed by non-speculative grants (length `ports`).
-    in_taken: Vec<bool>,
-    /// Output ports consumed by non-speculative grants (length `ports`).
-    out_taken: Vec<bool>,
-    /// Speculative stage-1 winner per input port: `(vc, out_port)`.
-    spec_winner: Vec<Option<(usize, usize)>>,
-    /// Per-VC speculative targets (length `vcs`).
-    spec_targets: Vec<Option<usize>>,
-    /// Wormhole outputs newly held this cycle.
-    newly_held: Vec<usize>,
+    /// Per-output-port masks of the input ports requesting it in SA stage
+    /// 2 (length `ports`); all zero between phases.
+    out_reqs: Box<[u64]>,
 }
 
-impl Scratch {
-    fn new(ports: usize, vcs: usize) -> Self {
-        Scratch {
-            st_due: Vec::new(),
-            va_bidders: Vec::new(),
-            va_requests: Vec::new(),
-            va_grants: Vec::new(),
-            va_winners: Vec::new(),
-            sa_port_winner: vec![None; ports],
-            sa_granted: Vec::new(),
-            vc_reqs: vec![false; vcs],
-            vc_targets: vec![None; vcs],
-            port_reqs: vec![false; ports],
-            in_taken: vec![false; ports],
-            out_taken: vec![false; ports],
-            spec_winner: vec![None; ports],
-            spec_targets: vec![None; vcs],
-            newly_held: Vec::new(),
-        }
-    }
+/// What VC allocation did this cycle, as channel masks — the speculative
+/// switch allocator needs both.
+#[derive(Debug, Clone, Copy, Default)]
+struct VaRound {
+    /// Channels that presented VA requests.
+    bidders: u64,
+    /// The subset that won an output VC.
+    winners: u64,
+}
+
+/// Input and output ports consumed by this cycle's non-speculative switch
+/// grants (port masks) — the crossbar connections the speculative plane
+/// must avoid.
+#[derive(Debug, Clone, Copy, Default)]
+struct Taken {
+    inputs: u64,
+    outputs: u64,
 }
 
 /// A cycle-accurate wormhole / VC / speculative-VC router.
@@ -201,6 +198,12 @@ pub struct Router {
     arena: FlitArena,
     /// Flattened channel state, indexed `port * vcs + vc`.
     inputs: Vec<InputVc>,
+    /// Channels buffering at least one flit (bit `port * vcs + vc`).
+    occupied: u64,
+    /// Channels in [`VcState::Allocating`].
+    allocating: u64,
+    /// Channels in [`VcState::Active`]. Channels in neither are idle.
+    active: u64,
     outputs: Vec<OutputPort>,
     va: SeparableAllocator,
     sa1: Vec<MatrixArbiter>,
@@ -231,6 +234,9 @@ impl Router {
             cfg,
             arena: FlitArena::new(p * v, cfg.buffers_per_vc),
             inputs: (0..p * v).map(InputVc::new).collect(),
+            occupied: 0,
+            allocating: 0,
+            active: 0,
             outputs: (0..p).map(|_| OutputPort::new(v)).collect(),
             va: SeparableAllocator::new(p * v, p * v),
             sa1: (0..p).map(|_| MatrixArbiter::new(v)).collect(),
@@ -238,7 +244,11 @@ impl Router {
             spec_sa1: (0..p).map(|_| MatrixArbiter::new(v)).collect(),
             spec_sa2: (0..p).map(|_| MatrixArbiter::new(p)).collect(),
             pending_st: Vec::new(),
-            scratch: Scratch::new(p, v),
+            scratch: Scratch {
+                st_due: Vec::new(),
+                va_grants: Vec::new(),
+                out_reqs: vec![0; p].into_boxed_slice(),
+            },
             stats: RouterStats::default(),
             trace: None,
             last_tick: None,
@@ -246,10 +256,61 @@ impl Router {
         }
     }
 
-    /// The flattened channel index of `(port, vc)` — also its arena ring.
+    /// The flattened channel index of `(port, vc)` — also its arena ring
+    /// and its bit in the channel masks.
     #[inline]
     fn chan(&self, port: usize, vc: usize) -> usize {
         port * self.cfg.vcs + vc
+    }
+
+    /// Moves channel `chan` to `state`, keeping the state masks in step.
+    #[inline]
+    fn set_state(&mut self, chan: usize, state: VcState) {
+        let bit = 1u64 << chan;
+        self.allocating &= !bit;
+        self.active &= !bit;
+        match state {
+            VcState::Idle => {}
+            VcState::Allocating { .. } => self.allocating |= bit,
+            VcState::Active { .. } => self.active |= bit,
+        }
+        self.inputs[chan].state = state;
+    }
+
+    /// Whether the channel and free-VC masks agree with the channel
+    /// states, buffers and active packets they summarize (checked after
+    /// every tick in debug builds; allocation-free).
+    fn masks_in_sync(&self) -> bool {
+        let mut free = [u64::MAX; MAX_CHANNELS];
+        for (chan, input) in self.inputs.iter().enumerate() {
+            let bit = |mask: u64| mask >> chan & 1 == 1;
+            let (allocating, active) = match input.state {
+                VcState::Idle => (false, false),
+                VcState::Allocating { .. } => (true, false),
+                VcState::Active {
+                    out_port, out_vc, ..
+                } => {
+                    free[out_port] &= !(1 << out_vc);
+                    (false, true)
+                }
+            };
+            if bit(self.occupied) == self.arena.front(chan).is_none()
+                || bit(self.allocating) != allocating
+                || bit(self.active) != active
+            {
+                return false;
+            }
+        }
+        let hold_based = matches!(
+            self.cfg.kind,
+            FlowControlKind::Wormhole | FlowControlKind::VirtualCutThrough
+        );
+        hold_based
+            || self
+                .outputs
+                .iter()
+                .zip(free)
+                .all(|(o, f)| o.free_vcs() == f & low_bits(self.cfg.vcs))
     }
 
     /// The configuration this router was built with.
@@ -381,7 +442,9 @@ impl Router {
         );
         flit.arrival = now;
         self.record(now, port, flit.vc, flit.packet, PipelineEvent::Arrived);
-        self.arena.push_back(self.chan(port, flit.vc), flit);
+        let chan = self.chan(port, flit.vc);
+        self.arena.push_back(chan, flit);
+        self.occupied |= 1 << chan;
         self.buffered += 1;
     }
 
@@ -422,41 +485,39 @@ impl Router {
         self.last_tick = Some(now);
 
         out.clear();
-        let mut s = std::mem::take(&mut self.scratch);
 
         // Phase 1: ST — previously granted traversals.
-        self.phase_st(now, &mut s, out);
+        self.phase_st(now, out);
 
         // Phase 2: RC.
         self.phase_rc(now, route);
 
         // Phase 3: VA (remembering who was bidding, for the speculative
         // plane which runs its SA in parallel with VA).
-        self.phase_va(now, &mut s);
+        let va = self.phase_va(now);
 
         // Phase 4: SA.
         match self.cfg.kind {
             FlowControlKind::Wormhole | FlowControlKind::VirtualCutThrough => {
-                self.phase_sa_wormhole(now, &mut s, out);
+                self.phase_sa_wormhole(now, out);
             }
             FlowControlKind::VirtualChannel => {
-                self.phase_sa_vc(now, &mut s, out);
+                self.phase_sa_vc(now, out);
             }
             FlowControlKind::SpeculativeVc => {
-                self.phase_sa_vc(now, &mut s, out);
-                self.phase_sa_speculative(now, &mut s, out);
+                let taken = self.phase_sa_vc(now, out);
+                self.phase_sa_speculative(now, va, taken, out);
             }
         }
-
-        self.scratch = s;
+        debug_assert!(self.masks_in_sync(), "channel masks out of sync");
     }
 
     // ----- ST ---------------------------------------------------------
 
-    fn phase_st(&mut self, now: u64, s: &mut Scratch, out: &mut TickOutput) {
+    fn phase_st(&mut self, now: u64, out: &mut TickOutput) {
         // Granted per-flit traversals whose time has come.
-        s.st_due.clear();
-        let due = &mut s.st_due;
+        let due = &mut self.scratch.st_due;
+        due.clear();
         self.pending_st.retain(|e| {
             if e.depart_at <= now {
                 due.push(*e);
@@ -465,8 +526,8 @@ impl Router {
                 true
             }
         });
-        for i in 0..s.st_due.len() {
-            let e = s.st_due[i];
+        for i in 0..self.scratch.st_due.len() {
+            let e = self.scratch.st_due[i];
             debug_assert_eq!(e.depart_at, now, "missed an ST slot");
             self.traverse(now, e, out);
         }
@@ -528,6 +589,9 @@ impl Router {
             .pop_front(chan)
             .expect("granted traversal with empty queue");
         self.buffered -= 1;
+        if self.arena.len(chan) == 0 {
+            self.occupied &= !(1 << chan);
+        }
         if let VcState::Active { packet, .. } = self.inputs[chan].state {
             debug_assert_eq!(packet, flit.packet, "foreign flit on an active channel");
         }
@@ -538,9 +602,9 @@ impl Router {
                 FlowControlKind::Wormhole | FlowControlKind::VirtualCutThrough => {
                     self.outputs[e.out_port].holder = None;
                 }
-                _ => self.outputs[e.out_port].owner[e.out_vc] = None,
+                _ => self.outputs[e.out_port].release(e.out_vc),
             }
-            self.inputs[chan].state = VcState::Idle;
+            self.set_state(chan, VcState::Idle);
         }
         self.stats.flits_switched += 1;
         self.stats.credits_sent += 1;
@@ -566,17 +630,14 @@ impl Router {
 
     // ----- RC ---------------------------------------------------------
 
+    /// Route computation for every idle channel with a flit (necessarily
+    /// a head) at its front.
     fn phase_rc(&mut self, now: u64, route: &dyn RoutingOracle) {
         let rc_delay = self.cfg.timing.rc_delay;
         let ports = self.cfg.ports;
         let v = self.cfg.vcs;
-        for chan in 0..ports * v {
-            if self.inputs[chan].state != VcState::Idle {
-                continue;
-            }
-            let Some(front) = self.arena.front(chan) else {
-                continue;
-            };
+        for chan in Bits(self.occupied & !(self.allocating | self.active)) {
+            let front = self.arena.front(chan).expect("occupied channel is empty");
             assert!(
                 front.kind.is_head(),
                 "non-head flit {front} at the front of an idle channel"
@@ -585,15 +646,18 @@ impl Router {
             assert!(out_port < ports, "routing returned port {out_port}");
             let vc_mask = route.vc_mask(front, out_port);
             assert!(
-                vc_mask & (u64::MAX >> (64 - v)) != 0,
+                vc_mask & low_bits(v) != 0,
                 "routing permitted no output VC at port {out_port}"
             );
             let packet = front.packet;
-            self.inputs[chan].state = VcState::Allocating {
-                out_port,
-                request_at: now + rc_delay,
-                vc_mask,
-            };
+            self.set_state(
+                chan,
+                VcState::Allocating {
+                    out_port,
+                    request_at: now + rc_delay,
+                    vc_mask,
+                },
+            );
             self.record(
                 now,
                 chan / v,
@@ -606,54 +670,47 @@ impl Router {
 
     // ----- VA ---------------------------------------------------------
 
-    /// Runs VC allocation, filling `s.va_bidders` with the channels that
-    /// presented VA requests this cycle and `s.va_winners` with the subset
-    /// that won an output VC — the speculative switch allocator needs
-    /// both.
-    fn phase_va(&mut self, now: u64, s: &mut Scratch) {
-        s.va_bidders.clear();
-        s.va_winners.clear();
+    /// Runs VC allocation: every allocating channel whose request time
+    /// has come bids for the free VCs of its output port that its routing
+    /// `vc_mask` permits. Returns the bidders and the winners.
+    fn phase_va(&mut self, now: u64) -> VaRound {
         if matches!(
             self.cfg.kind,
             FlowControlKind::Wormhole | FlowControlKind::VirtualCutThrough
         ) {
-            return;
+            return VaRound::default();
         }
         let v = self.cfg.vcs;
-        s.va_requests.clear();
-        for port in 0..self.cfg.ports {
-            for vc in 0..v {
-                let chan = port * v + vc;
-                let VcState::Allocating {
-                    out_port,
-                    request_at,
-                    vc_mask,
-                } = self.inputs[chan].state
-                else {
-                    continue;
-                };
-                if now < request_at {
-                    continue;
-                }
-                s.va_bidders.push((port, vc));
-                for free in self.outputs[out_port].free_vcs_iter() {
-                    if free < 64 && vc_mask & (1 << free) != 0 {
-                        s.va_requests.push((chan, out_port * v + free));
-                    }
-                }
+        let mut bidders = 0u64;
+        for chan in Bits(self.allocating) {
+            let VcState::Allocating { request_at, .. } = self.inputs[chan].state else {
+                unreachable!("allocating mask out of sync");
+            };
+            if now >= request_at {
+                bidders |= 1 << chan;
             }
         }
-        if s.va_requests.is_empty() {
+        if bidders == 0 {
             // Nothing bid (the common case while bodies stream): skip the
-            // allocator's stage scans entirely.
-            return;
+            // allocator entirely.
+            return VaRound::default();
         }
-        self.va.allocate_into(&s.va_requests, &mut s.va_grants);
-        for g in &s.va_grants {
+        // Input `chan` requests resource `out_port * v + free_vc`.
+        let (inputs, outputs) = (&self.inputs, &self.outputs);
+        let row = |chan: usize| match inputs[chan].state {
+            VcState::Allocating {
+                out_port, vc_mask, ..
+            } => (outputs[out_port].free_vcs() & vc_mask) << (out_port * v),
+            _ => unreachable!("VA bidder is not allocating"),
+        };
+        self.va
+            .allocate_masks(bidders, row, &mut self.scratch.va_grants);
+        let mut winners = 0u64;
+        for i in 0..self.scratch.va_grants.len() {
+            let g = self.scratch.va_grants[i];
             let (port, vc) = (g.input / v, g.input % v);
             let (out_port, out_vc) = (g.resource / v, g.resource % v);
-            debug_assert!(self.outputs[out_port].owner[out_vc].is_none());
-            self.outputs[out_port].owner[out_vc] = Some((port, vc));
+            self.outputs[out_port].claim(out_vc);
             let packet = self
                 .arena
                 .front(g.input)
@@ -670,25 +727,28 @@ impl Router {
                     unreachable!("hold-based routers do not allocate VCs")
                 }
             };
-            self.inputs[g.input].state = VcState::Active {
-                out_port,
-                out_vc,
-                sa_request_at,
-                packet,
-            };
+            self.set_state(
+                g.input,
+                VcState::Active {
+                    out_port,
+                    out_vc,
+                    sa_request_at,
+                    packet,
+                },
+            );
             self.stats.va_grants += 1;
             self.record(now, port, vc, packet, PipelineEvent::VaGranted { out_vc });
-            s.va_winners.push((port, vc));
+            winners |= 1 << g.input;
         }
+        VaRound { bidders, winners }
     }
 
     // ----- SA ---------------------------------------------------------
 
-    /// Whether channel `(port, vc)` has a switch request this cycle:
-    /// active, with an eligible front flit and a downstream credit.
-    fn sa_request(&self, now: u64, port: usize, vc: usize) -> Option<(usize, usize)> {
+    /// Whether active channel `chan` has a switch request this cycle: an
+    /// eligible front flit and a downstream credit.
+    fn sa_request(&self, now: u64, chan: usize) -> bool {
         let t = self.cfg.timing;
-        let chan = port * self.cfg.vcs + vc;
         let VcState::Active {
             out_port,
             out_vc,
@@ -696,153 +756,147 @@ impl Router {
             ..
         } = self.inputs[chan].state
         else {
-            return None;
+            unreachable!("active mask out of sync");
         };
-        let front = self.arena.front(chan)?;
+        let Some(front) = self.arena.front(chan) else {
+            return false;
+        };
         let eligible = if front.kind.is_head() {
             now >= sa_request_at
         } else {
             now >= front.arrival + t.body_sa_delay
         };
-        (eligible && self.outputs[out_port].has_credit(out_vc)).then_some((out_port, out_vc))
+        eligible && self.outputs[out_port].has_credit(out_vc)
+    }
+
+    /// The output port channel `chan` is bidding for or holds.
+    fn target_port(&self, chan: usize) -> usize {
+        match self.inputs[chan].state {
+            VcState::Allocating { out_port, .. } | VcState::Active { out_port, .. } => out_port,
+            VcState::Idle => unreachable!("idle channel has no target port"),
+        }
+    }
+
+    /// Stage 1 of a separable switch allocator (the `sa1` arbiters, or
+    /// `spec_sa1` for the speculative plane): each input port with a
+    /// request in `requests` (a channel mask) picks one VC. Each winner's
+    /// input port joins the scratch request mask of its target output,
+    /// unless that output is in `skip_outputs`. Returns the winning
+    /// channels and the mask of requested outputs.
+    fn sa_stage1(&mut self, mut requests: u64, speculative: bool, skip_outputs: u64) -> (u64, u64) {
+        let v = self.cfg.vcs;
+        let vc_bits = low_bits(v);
+        let (mut winners, mut outs) = (0u64, 0u64);
+        while requests != 0 {
+            let port = requests.trailing_zeros() as usize / v;
+            let reqs = requests >> (port * v) & vc_bits;
+            requests &= !(vc_bits << (port * v));
+            let arbiter = if speculative {
+                &self.spec_sa1[port]
+            } else {
+                &self.sa1[port]
+            };
+            let Some(vc) = arbiter.peek_mask(reqs) else {
+                continue;
+            };
+            let chan = port * v + vc;
+            winners |= 1 << chan;
+            let out_port = self.target_port(chan);
+            if skip_outputs >> out_port & 1 == 0 {
+                self.scratch.out_reqs[out_port] |= 1 << port;
+                outs |= 1 << out_port;
+            }
+        }
+        (winners, outs)
     }
 
     /// Non-speculative separable switch allocation (VC and speculative
     /// routers; the speculative plane runs after this and never overrides
-    /// its grants). Fills `s.sa_granted` with the `(in_port, out_port)`
-    /// pairs granted this cycle — the crossbar connections the
-    /// speculative plane must avoid.
-    fn phase_sa_vc(&mut self, now: u64, s: &mut Scratch, out: &mut TickOutput) {
-        let p = self.cfg.ports;
+    /// its grants). Returns the input and output ports granted this
+    /// cycle.
+    fn phase_sa_vc(&mut self, now: u64, out: &mut TickOutput) -> Taken {
         let v = self.cfg.vcs;
 
         // Stage 1: per input port, pick one requesting VC.
-        let mut any_winner = false;
-        for port in 0..p {
-            s.sa_port_winner[port] = None;
-            let mut any_req = false;
-            for vc in 0..v {
-                s.vc_targets[vc] = self.sa_request(now, port, vc);
-                s.vc_reqs[vc] = s.vc_targets[vc].is_some();
-                any_req |= s.vc_reqs[vc];
-            }
-            if !any_req {
-                continue;
-            }
-            if let Some(winner_vc) = self.sa1[port].peek(&s.vc_reqs) {
-                let (op, ov) = s.vc_targets[winner_vc].expect("stage-1 winner had a request");
-                s.sa_port_winner[port] = Some((winner_vc, op, ov));
-                any_winner = true;
+        let mut requests = 0u64;
+        for chan in Bits(self.active & self.occupied) {
+            if self.sa_request(now, chan) {
+                requests |= 1 << chan;
             }
         }
+        let mut taken = Taken::default();
+        if requests == 0 {
+            return taken;
+        }
+        let (winners, outs) = self.sa_stage1(requests, false, 0);
 
-        // Stage 2: per output port, pick one input port.
-        s.sa_granted.clear();
-        if !any_winner {
-            return;
-        }
-        for out_port in 0..p {
-            for (port, w) in s.sa_port_winner.iter().enumerate() {
-                s.port_reqs[port] = matches!(w, Some((_, op, _)) if *op == out_port);
-            }
-            let Some(win_port) = self.sa2[out_port].peek(&s.port_reqs) else {
+        // Stage 2: per requested output port, pick one input port.
+        for out_port in Bits(outs) {
+            let reqs = std::mem::take(&mut self.scratch.out_reqs[out_port]);
+            let Some(win_port) = self.sa2[out_port].peek_mask(reqs) else {
                 continue;
             };
-            let (vc, _, out_vc) = s.sa_port_winner[win_port].expect("stage-2 winner had a request");
+            let vc = (winners >> (win_port * v) & low_bits(v)).trailing_zeros() as usize;
+            let VcState::Active { out_vc, .. } = self.inputs[win_port * v + vc].state else {
+                unreachable!("stage-1 winner must be active");
+            };
             self.sa2[out_port].demote(win_port);
             self.sa1[win_port].demote(vc);
             let entry = self.st_entry(now, win_port, vc, (out_port, out_vc));
             self.grant_switch(now, entry, false, out);
             self.stats.sa_grants += 1;
-            s.sa_granted.push((win_port, out_port));
+            taken.inputs |= 1 << win_port;
+            taken.outputs |= 1 << out_port;
         }
+        taken
     }
 
     /// The speculative switch-allocation plane: channels still bidding for
     /// an output VC bid for the switch in parallel. A speculative grant is
     /// used only if the channel also won VA *this cycle* and the granted
     /// VC has a credit; otherwise the crossbar slot is wasted. Output
-    /// ports and input ports already granted non-speculatively are
-    /// excluded — non-speculative requests have strict priority.
-    fn phase_sa_speculative(&mut self, now: u64, s: &mut Scratch, out: &mut TickOutput) {
-        let p = self.cfg.ports;
+    /// ports and input ports already granted non-speculatively (`taken`)
+    /// are excluded — non-speculative requests have strict priority.
+    fn phase_sa_speculative(&mut self, now: u64, va: VaRound, taken: Taken, out: &mut TickOutput) {
         let v = self.cfg.vcs;
-        if s.va_bidders.is_empty() {
+        // This cycle's non-speculative grants traverse in the same cycle
+        // as any speculative grant issued now, so they conflict;
+        // traversals of *earlier* grants do not. Every VA bidder's head
+        // (at its queue front) speculatively requests its output port.
+        let mut requests = va.bidders & (self.allocating | self.active);
+        for port in Bits(taken.inputs) {
+            requests &= !(low_bits(v) << (port * v));
+        }
+        if requests == 0 {
             return;
         }
-
-        // Crossbar connections consumed by this cycle's non-speculative
-        // grants (they traverse in the same cycle as any speculative grant
-        // issued now, so they conflict; traversals of *earlier* grants do
-        // not).
-        s.in_taken.iter_mut().for_each(|t| *t = false);
-        s.out_taken.iter_mut().for_each(|t| *t = false);
-        for &(in_port, out_port) in &s.sa_granted {
-            s.in_taken[in_port] = true;
-            s.out_taken[out_port] = true;
-        }
+        self.stats.spec_requests += u64::from(requests.count_ones());
 
         // Stage 1: per input port, pick one speculatively bidding VC.
-        let mut any_winner = false;
-        for port in 0..p {
-            s.spec_winner[port] = None;
-            if s.in_taken[port] {
-                continue;
-            }
-            s.vc_reqs.iter_mut().for_each(|r| *r = false);
-            s.spec_targets.iter_mut().for_each(|t| *t = None);
-            for &(bp, bvc) in &s.va_bidders {
-                if bp != port {
-                    continue;
-                }
-                // The channel bid for VA this cycle; its head (at the
-                // queue front) speculatively requests its output port.
-                let out_port = match self.inputs[bp * v + bvc].state {
-                    VcState::Allocating { out_port, .. } => out_port, // VA failed
-                    VcState::Active { out_port, .. } => out_port,     // VA succeeded
-                    VcState::Idle => continue,
-                };
-                s.vc_reqs[bvc] = true;
-                s.spec_targets[bvc] = Some(out_port);
-                self.stats.spec_requests += 1;
-            }
-            if let Some(winner_vc) = self.spec_sa1[port].peek(&s.vc_reqs) {
-                s.spec_winner[port] =
-                    Some((winner_vc, s.spec_targets[winner_vc].expect("had target")));
-                any_winner = true;
-            }
-        }
-        if !any_winner {
-            return;
-        }
+        let (winners, outs) = self.sa_stage1(requests, true, taken.outputs);
 
         // Stage 2: per output port not already granted, pick one port.
-        for out_port in 0..p {
-            if s.out_taken[out_port] {
-                continue;
-            }
-            for (port, w) in s.spec_winner.iter().enumerate() {
-                s.port_reqs[port] = matches!(w, Some((_, op)) if *op == out_port);
-            }
-            let Some(win_port) = self.spec_sa2[out_port].peek(&s.port_reqs) else {
+        for out_port in Bits(outs) {
+            let reqs = std::mem::take(&mut self.scratch.out_reqs[out_port]);
+            let Some(win_port) = self.spec_sa2[out_port].peek_mask(reqs) else {
                 continue;
             };
-            let (vc, _) = s.spec_winner[win_port].expect("stage-2 winner had a request");
+            let vc = (winners >> (win_port * v) & low_bits(v)).trailing_zeros() as usize;
+            let chan = win_port * v + vc;
             self.spec_sa2[out_port].demote(win_port);
             self.spec_sa1[win_port].demote(vc);
 
             // Validate the speculation: the channel must have won VA this
             // very cycle and the granted output VC must have a credit.
-            let valid = s.va_winners.contains(&(win_port, vc));
-            if !valid {
+            if va.winners >> chan & 1 == 0 {
                 self.stats.spec_wasted += 1;
-                if let Some(front) = self.arena.front(win_port * v + vc) {
+                if let Some(front) = self.arena.front(chan) {
                     let packet = front.packet;
                     self.record(now, win_port, vc, packet, PipelineEvent::SpecWasted);
                 }
                 continue;
             }
-            let VcState::Active { out_vc, .. } = self.inputs[win_port * v + vc].state else {
+            let VcState::Active { out_vc, .. } = self.inputs[chan].state else {
                 unreachable!("VA winner must be active");
             };
             if !self.outputs[out_port].has_credit(out_vc) {
@@ -857,47 +911,56 @@ impl Router {
 
     /// Wormhole switch arbitration: channels bid to *hold* a free output
     /// port; held ports then stream flits (see [`Router::wormhole_flow`]).
-    fn phase_sa_wormhole(&mut self, now: u64, s: &mut Scratch, out: &mut TickOutput) {
-        let p = self.cfg.ports;
-        let v = self.cfg.vcs;
-        s.newly_held.clear();
-        for out_port in 0..p {
-            if self.outputs[out_port].holder.is_some() {
+    /// With one VC per port, channel `chan` is input port `chan`.
+    fn phase_sa_wormhole(&mut self, now: u64, out: &mut TickOutput) {
+        let mut outs = 0u64;
+        for chan in Bits(self.allocating) {
+            let VcState::Allocating {
+                out_port,
+                request_at,
+                ..
+            } = self.inputs[chan].state
+            else {
+                unreachable!("allocating mask out of sync");
+            };
+            if now < request_at || self.outputs[out_port].holder.is_some() {
                 continue;
             }
-            for port in 0..p {
-                let chan = port * v;
-                let mut r = matches!(
-                    self.inputs[chan].state,
-                    VcState::Allocating { out_port: op, request_at, .. }
-                        if op == out_port && now >= request_at
-                );
-                // Cut-through admission: the downstream buffer must have
-                // room for the entire packet before it may advance.
-                if r && self.cfg.kind == FlowControlKind::VirtualCutThrough {
-                    let head = self.arena.front(chan).expect("bid without head");
-                    let room = self.outputs[out_port].is_sink()
-                        || self.outputs[out_port].credit_count(0) >= u64::from(head.len);
-                    r = room;
+            // Cut-through admission: the downstream buffer must have
+            // room for the entire packet before it may advance.
+            if self.cfg.kind == FlowControlKind::VirtualCutThrough {
+                let head = self.arena.front(chan).expect("bid without head");
+                let room = self.outputs[out_port].is_sink()
+                    || self.outputs[out_port].credit_count(0) >= u64::from(head.len);
+                if !room {
+                    continue;
                 }
-                s.port_reqs[port] = r;
             }
-            let Some(winner) = self.sa2[out_port].peek(&s.port_reqs) else {
+            self.scratch.out_reqs[out_port] |= 1 << chan;
+            outs |= 1 << out_port;
+        }
+        let mut newly_held = 0u64;
+        for out_port in Bits(outs) {
+            let reqs = std::mem::take(&mut self.scratch.out_reqs[out_port]);
+            let Some(winner) = self.sa2[out_port].peek_mask(reqs) else {
                 continue;
             };
             self.sa2[out_port].demote(winner);
             let packet = self
                 .arena
-                .front(winner * v)
+                .front(winner)
                 .expect("switch bid without a head flit")
                 .packet;
             self.outputs[out_port].holder = Some(winner);
-            self.inputs[winner * v].state = VcState::Active {
-                out_port,
-                out_vc: 0,
-                sa_request_at: now + self.cfg.timing.st_delay, // flow_start
-                packet,
-            };
+            self.set_state(
+                winner,
+                VcState::Active {
+                    out_port,
+                    out_vc: 0,
+                    sa_request_at: now + self.cfg.timing.st_delay, // flow_start
+                    packet,
+                },
+            );
             self.stats.sa_grants += 1;
             self.record(
                 now,
@@ -906,12 +969,12 @@ impl Router {
                 packet,
                 PipelineEvent::SaGranted { speculative: false },
             );
-            s.newly_held.push(out_port);
+            newly_held |= 1 << out_port;
         }
         // Single-cycle routers start flowing in the grant cycle itself.
         if self.cfg.timing.st_delay == 0 {
-            for i in 0..s.newly_held.len() {
-                self.wormhole_flow(now, s.newly_held[i], out);
+            for out_port in Bits(newly_held) {
+                self.wormhole_flow(now, out_port, out);
             }
         }
     }

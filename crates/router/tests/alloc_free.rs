@@ -130,6 +130,12 @@ fn steady_state_ticks_are_allocation_free() {
         RouterConfig::speculative(7, 2, 4),
         "specVC 7-port",
     );
+    // 7 ports x 8 VCs = 56 channels: the widest shape any committed
+    // configuration uses, near the routers' one-word channel-mask limit.
+    assert_steady_state_tick_is_allocation_free(
+        RouterConfig::speculative(7, 8, 4),
+        "specVC 7-port 8-VC",
+    );
 
     // Counter sanity check (and the TraceSink gate's other half): the
     // same traffic through a router with tracing *enabled* does record —

@@ -254,6 +254,31 @@ fn engines_agree_on_large_and_three_d_topologies() {
     }
 }
 
+/// Near the routers' one-word channel limit: a 4-ary 3-mesh of
+/// speculative routers with 8 VCs has 7 ports × 8 VCs = 56 channels per
+/// router, so channel bits up to 55 and VC-allocator rows up to 56 wide
+/// are live. All three engines must still agree bit for bit.
+#[test]
+fn engines_agree_near_the_channel_word_limit() {
+    use peh_dally::noc_network::Mesh;
+    let cfg = NetworkConfig::for_mesh(
+        Mesh::new(4, 3),
+        RouterKind::SpeculativeVc {
+            vcs: 8,
+            buffers_per_vc: 4,
+        },
+    )
+    .with_injection(0.35)
+    .with_warmup(150)
+    .with_sample(200)
+    .with_max_cycles(40_000);
+    assert_eq!(cfg.mesh.ports() * 8, 56);
+    let (cycle, event) = run_both(cfg.clone());
+    assert_equivalent("4-ary 3-mesh specVC 8 VCs", &cycle, &event);
+    let sharded = run_sharded(cfg, 3);
+    assert_equivalent("4-ary 3-mesh specVC 8 VCs shards=3", &event, &sharded);
+}
+
 /// Negative-first adaptive routing (the n-D turn model) stays in
 /// lockstep on a 3-D mesh, across all three engines.
 #[test]
