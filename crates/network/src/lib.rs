@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub(crate) mod calendar;
 pub mod channel_load;
 pub mod config;
 pub mod fault;

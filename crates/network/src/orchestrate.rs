@@ -182,7 +182,13 @@ impl PointRunner<NetworkConfig> for NetworkRunner {
         let pct = r.histogram.percentiles();
         let unreachable_pairs = r.unreachable_pairs;
         let flows = r.flow_stats.as_ref().map_or(0, |f| f.flows());
-        let worst = r.flow_stats.as_ref().and_then(|f| f.worst());
+        // A worst-flow percentile at the per-flow cap means "at or
+        // beyond the cap", not a measurement: record it as unknown.
+        let worst = r.flow_stats.as_ref().map_or([None; 3], |f| {
+            let measured = |p: u64| (p < f.latency_cap()).then_some(p);
+            f.worst()
+                .map_or([None; 3], |(_, _, p)| [p.p50, p.p95, p.p99].map(measured))
+        });
         // Only nodes that dropped something land in the record; node
         // order (ascending) keys the entries stably across engines.
         let node_drops = r
@@ -215,9 +221,9 @@ impl PointRunner<NetworkConfig> for NetworkRunner {
             unreachable_pairs,
             node_drops,
             flows,
-            flow_p50: worst.map(|(_, _, p)| p.p50),
-            flow_p95: worst.map(|(_, _, p)| p.p95),
-            flow_p99: worst.map(|(_, _, p)| p.p99),
+            flow_p50: worst[0],
+            flow_p95: worst[1],
+            flow_p99: worst[2],
         })
     }
 }
@@ -356,6 +362,27 @@ mod tests {
         assert!(rec.flows > 0, "tagged flows were attributed");
         assert!(rec.flow_p99.expect("flows measured") > 0);
         assert!(rec.node_drops.is_empty(), "healthy run drops nothing");
+    }
+
+    #[test]
+    fn saturated_worst_flow_tails_are_null_not_the_cap() {
+        // A saturated 4×4 hotspot: flows into the hot node queue far
+        // past the 1024-cycle per-flow cap, so the worst flow's tail is
+        // unknown, not 1024.
+        let cfg = base()
+            .with_pattern(TrafficPattern::Hotspot {
+                hotspot: 5,
+                hotness: 0.5,
+            })
+            .with_sample(400)
+            .with_max_cycles(6_000);
+        let rec = NetworkRunner
+            .run_point(&cfg, cfg.seed, 0.6, &CancelToken::new())
+            .expect("not cancelled");
+        assert!(rec.saturated, "the hotspot saturates");
+        assert!(rec.flows > 0, "tagged flows were attributed");
+        assert_eq!(rec.flow_p99, None, "a clamped tail is not a measurement");
+        assert!(rec.to_jsonl().contains("\"flow_saturated\": true"));
     }
 
     #[test]

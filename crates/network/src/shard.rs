@@ -15,7 +15,7 @@
 //!    never leaves this section), evaluates the stop condition, and
 //!    decides whether the next cycles can be **fast-forwarded**: every
 //!    shard votes (via a `fetch_min` register) the earliest future cycle
-//!    at which it has any work — pending wheel deliveries, staged
+//!    at which it has any work — messages due on its calendar, staged
 //!    boundary mail, active routers, or a source about to cross its
 //!    injection threshold — and when the minimum lies beyond the next
 //!    cycle, the skipped cycles are provably no-ops for *every* shard
@@ -23,38 +23,38 @@
 //!    quiescent-router ticks. The gate is either a central
 //!    sense-reversing spin barrier or a sense-reversing combining tree
 //!    ([`crate::config::BarrierKind`]); both spin briefly then yield.
-//! 2. **Fused compute** (parallel, no internal barrier) — each shard:
-//!    applies the boundary flits and credits other shards published
-//!    *last* round (flits are pushed into the shard's own delay pipes
-//!    with their original emission cycle; credits carry an absolute due
-//!    cycle and sit on a private `remote_credits` wheel until it
-//!    arrives), drains its own wheel's due deliveries, steps its sources
-//!    in node order, and ticks its active routers in node order.
-//!    Departures and credits bound for another shard are staged in
-//!    per-shard-pair mailboxes **at emission time** — tagged with enough
-//!    timing (`FlitMsg::at`, `CreditMsg::due`) that the receiver can
-//!    apply them a full round later without any mid-cycle exchange
+//! 2. **Fused compute** (parallel, no internal barrier) — each shard
+//!    owns the delivery [`Calendar`] of its nodes: every flit and credit
+//!    whose consumer is one of them. It schedules the boundary flits and
+//!    credits other shards published *last* round onto that calendar at
+//!    their due cycles, takes the flits and then the credits due this
+//!    cycle, steps its sources in node order, and ticks its active
+//!    routers in node order. A departure or credit whose consumer lives
+//!    in another shard is staged in a per-shard-pair mailbox **at
+//!    emission time**, tagged with its due cycle — at least one cycle
+//!    away, since every link has ≥ 1 cycle of latency — so the receiver
+//!    can schedule it a full round later without any mid-cycle exchange
 //!    barrier. Tail ejections, channel-load events, and created packet
 //!    ids are recorded per shard in node order for the next gate's
 //!    serial commit.
 //!
-//! Why this is bit-identical: within one cycle the serial engine's
-//! delivery operations commute (disjoint queues and counters — the same
-//! argument the event engine rests on), credit application commutes
-//! (pure counter increments) and lands in the same cycle it would have
-//! under the serial engine (the staged `due` cycle *is* the serial
-//! delivery cycle), sources interact with nothing but their own state
-//! and their own injection pipe, and routers only interact through
-//! pipes with ≥ 1 cycle of latency. Fast-forwarded cycles are cycles in
-//! which no shard would deliver, inject, or tick anything — sources
-//! advance their fractional accumulators by pure repeated addition
-//! ([`Source::fast_forward`]), exactly the operations the skipped steps
-//! would have performed, so even the floating-point state is identical.
+//! Why this is bit-identical: every message is delivered at the cycle
+//! the serial engines deliver it (the staged due cycle *is* the serial
+//! delivery cycle), and within one cycle deliveries commute (each
+//! touches one input buffer or one credit counter — the same argument
+//! the event engine rests on). Sources interact with nothing but their
+//! own state and their own injection channel, and routers only interact
+//! through links with ≥ 1 cycle of latency. Fast-forwarded cycles are
+//! cycles in which no shard would deliver, inject, or tick anything —
+//! sources advance their fractional accumulators by pure repeated
+//! addition ([`Source::fast_forward`]), exactly the operations the
+//! skipped steps would have performed, so even the floating-point state
+//! is identical.
 //! The only order-sensitive state — the global tagging counter and the
 //! floating-point latency accumulators — never leaves the serial commit.
 //!
 //! Everything here is allocation-free in steady state: mailboxes,
-//! wheels, scratch buffers, and the per-cycle record vectors are
+//! calendars, scratch buffers, and the per-cycle record vectors are
 //! retained and reach a fixed capacity after warm-up (enforced by
 //! `crates/network/tests/alloc_free_parallel.rs`).
 //!
@@ -64,7 +64,7 @@
 //! pattern the shard holding the hot column does most of the ticking
 //! while its siblings spin at the gate. When
 //! [`crate::config::NetworkConfig::with_rebalance`] is set, every node
-//! accrues a work meter (weighted router ticks, pipe deliveries, and
+//! accrues a work meter (weighted router ticks, flit deliveries, and
 //! departures — all pure functions of simulation state, so the meter is
 //! identical for every partition and thread schedule), folded into a
 //! per-node EWMA at the end of every `epoch` *executed* cycles. Each
@@ -73,29 +73,28 @@
 //! totals and, when `work_max / work_mean` exceeds the configured
 //! threshold, recuts the partition along the EWMA curve
 //! ([`crate::topology::Mesh::weighted_shard_ranges_into`] — still
-//! contiguous and row-seam-snapped) and **migrates**: every wheel is
-//! drained with its due cycles intact, staged boundary mail and parked
-//! remote credits are re-homed onto the new owners' wheels, and credit
-//! pipes whose upstream consumer moved across a new seam are converted
-//! to mailbox-style credits (same due cycle) on the consumer's wheel.
-//! No new barrier is added — the decision rides the existing gate, and
-//! the migration happens between worker-pool *eras* while no worker
-//! holds a shard view. Because the meter, the epoch boundaries (counted
-//! in executed cycles, which every shard executes in lockstep), and the
-//! cut computation are all deterministic, the partition *sequence* is
-//! deterministic — and since no partition choice ever affects results
-//! (the serial commit owns all order-sensitive state), rebalanced runs
-//! stay bit-identical to the serial engines.
+//! contiguous and row-seam-snapped) and **migrates**: every calendar
+//! and every mailbox is drained with its due cycles intact, and each
+//! message is re-scheduled on the calendar of the shard that now owns
+//! its consumer. No new barrier is added — the decision rides the
+//! existing gate, and the migration happens between worker-pool *eras*
+//! while no worker holds a shard view. Because the meter, the epoch
+//! boundaries (counted in executed cycles, which every shard executes in
+//! lockstep), and the cut computation are all deterministic, the
+//! partition *sequence* is deterministic — and since no partition choice
+//! ever affects results (the serial commit owns all order-sensitive
+//! state), rebalanced runs stay bit-identical to the serial engines.
 
+use crate::calendar::{Calendar, CreditArrival, FlitArrival, LinkTable};
 use crate::config::{BarrierKind, RebalanceConfig};
 use crate::fault::{clip, ClipSlot, DropReason, DropStats, FaultModel};
 use crate::routing::RouteTable;
-use crate::sim::{Delivery, NodeOracle};
+use crate::sim::NodeOracle;
 use crate::source::{Source, SourceStep};
 use crate::stats::PhaseNanos;
 use crate::topology::Mesh;
 use crate::traffic::TrafficPattern;
-use router_core::{DelayPipe, EventWheel, Flit, PacketId, Router, TickOutput};
+use router_core::{Flit, PacketId, Router, TickOutput};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -106,10 +105,10 @@ use std::sync::{Mutex, MutexGuard};
 /// cycle.
 pub(crate) const SRC_SCAN_CAP: u64 = 4096;
 
-/// Work-meter weight of one router tick relative to one pipe delivery
+/// Work-meter weight of one router tick relative to one flit delivery
 /// or departure. A tick runs route computation, VC and switch
 /// allocation, and the crossbar pass — several times the cost of
-/// popping one flit off a pipe — so the meter weights it accordingly.
+/// delivering one flit — so the meter weights it accordingly.
 /// Only the *ratios* between per-node meters matter to the cuts.
 const W_TICK: u64 = 4;
 
@@ -405,29 +404,9 @@ impl Lockstep {
     }
 }
 
-/// A flit crossing a shard boundary: deliver `flit` into input
-/// `(node, port)` of the receiving shard, emitted during cycle `at`
-/// (the receiver pushes it into its own delay pipe with that original
-/// timestamp, so it arrives at `at + 1 + link_delay` exactly as a
-/// same-shard departure would).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FlitMsg {
-    pub node: u32,
-    pub port: u8,
-    pub flit: Flit,
-    pub at: u64,
-}
-
-/// A credit crossing a shard boundary: return one credit for output
-/// `(node, port)`, VC `vc`, of the receiving shard at cycle `due` — the
-/// same cycle the serial engine's credit pipe would have delivered it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CreditMsg {
-    pub node: u32,
-    pub port: u8,
-    pub vc: u32,
-    pub due: u64,
-}
+/// A message crossing a shard boundary: its due cycle — the cycle the
+/// serial engines deliver it — and its addressed payload.
+pub(crate) type Mail<T> = (u64, T);
 
 /// Preallocated per-shard-pair mailboxes. Slot `(from, to)` is written
 /// by shard `from` at the end of its fused compute phase and drained by
@@ -437,8 +416,8 @@ pub(crate) struct CreditMsg {
 #[derive(Debug)]
 pub(crate) struct Mailboxes {
     shards: usize,
-    flits: Vec<Mutex<Vec<FlitMsg>>>,
-    credits: Vec<Mutex<Vec<CreditMsg>>>,
+    flits: Vec<Mutex<Vec<Mail<FlitArrival>>>>,
+    credits: Vec<Mutex<Vec<Mail<CreditArrival>>>>,
 }
 
 impl Mailboxes {
@@ -468,24 +447,27 @@ impl Mailboxes {
             .sum()
     }
 
-    /// Drains every staged message into the migration scratch (the
-    /// timing tags — `FlitMsg::at`, `CreditMsg::due` — carry everything
-    /// needed to re-home them onto the new owners' wheels). Called only
-    /// between eras, when no shard holds a mailbox lock.
-    pub(crate) fn drain_all(&self, flits: &mut Vec<FlitMsg>, credits: &mut Vec<(u64, CreditMsg)>) {
+    /// Drains every staged message, due cycle intact, into the
+    /// migration scratch. Called only between eras, when no shard holds
+    /// a mailbox lock.
+    pub(crate) fn drain_all(
+        &self,
+        flits: &mut Vec<Mail<FlitArrival>>,
+        credits: &mut Vec<Mail<CreditArrival>>,
+    ) {
         for slot in &self.flits {
             flits.extend(lock_mailbox(slot).drain(..));
         }
         for slot in &self.credits {
-            credits.extend(lock_mailbox(slot).drain(..).map(|m| (m.due, m)));
+            credits.extend(lock_mailbox(slot).drain(..));
         }
     }
 
-    fn flit_slot(&self, from: usize, to: usize) -> &Mutex<Vec<FlitMsg>> {
+    fn flit_slot(&self, from: usize, to: usize) -> &Mutex<Vec<Mail<FlitArrival>>> {
         &self.flits[from * self.shards + to]
     }
 
-    fn credit_slot(&self, from: usize, to: usize) -> &Mutex<Vec<CreditMsg>> {
+    fn credit_slot(&self, from: usize, to: usize) -> &Mutex<Vec<Mail<CreditArrival>>> {
         &self.credits[from * self.shards + to]
     }
 }
@@ -529,11 +511,8 @@ pub(crate) struct ShardOut {
 /// event-driven machinery plus its outbound mailbox staging).
 #[derive(Debug)]
 pub(crate) struct ShardAux {
-    /// Scheduled pipe deliveries for this shard's nodes.
-    pub wheel: EventWheel<Delivery>,
-    /// Cross-shard credits received by mail, parked until their due
-    /// cycle (the wheel indexes them by `CreditMsg::due`).
-    pub remote_credits: EventWheel<CreditMsg>,
+    /// Every flit and credit in flight to this shard's nodes.
+    pub calendar: Calendar,
     /// Reused router tick output buffer.
     pub tick_buf: TickOutput,
     /// Reused source step buffer.
@@ -556,16 +535,15 @@ pub(crate) struct ShardAux {
     /// Whether this cycle staged any outbound boundary mail.
     sent_mail: bool,
     /// Outbound flit staging, one buffer per destination shard.
-    out_flits: Vec<Vec<FlitMsg>>,
+    out_flits: Vec<Vec<Mail<FlitArrival>>>,
     /// Outbound credit staging, one buffer per destination shard.
-    out_credits: Vec<Vec<CreditMsg>>,
+    out_credits: Vec<Vec<Mail<CreditArrival>>>,
 }
 
 impl ShardAux {
     pub(crate) fn new(shards: usize, horizon: u64) -> Self {
         ShardAux {
-            wheel: EventWheel::new(horizon),
-            remote_credits: EventWheel::new(horizon),
+            calendar: Calendar::new(horizon),
             tick_buf: TickOutput::default(),
             step_buf: SourceStep::default(),
             router_ticks: 0,
@@ -617,14 +595,10 @@ pub(crate) struct RebalanceState {
     /// The leader's snapshot of [`Lockstep::shard_work`], one slot per
     /// shard.
     pub(crate) epoch_totals: Vec<u64>,
-    /// Wheel deliveries drained with their due cycles.
-    deliveries: Vec<(u64, Delivery)>,
-    /// Parked and staged cross-shard credits, keyed by due cycle.
-    credits: Vec<(u64, CreditMsg)>,
-    /// Staged boundary flits.
-    flits: Vec<FlitMsg>,
-    /// One credit pipe's contents, mid-conversion: `(due, vc)`.
-    pipe_credits: Vec<(u64, usize)>,
+    /// Every flit in flight (calendars and mail), with its due cycle.
+    flits: Vec<Mail<FlitArrival>>,
+    /// Every credit in flight (calendars and mail), with its due cycle.
+    credits: Vec<Mail<CreditArrival>>,
     /// Row prefix-sum scratch for the weighted cut.
     pub(crate) prefix: Vec<u128>,
     /// The candidate partition the cut computes into.
@@ -633,8 +607,9 @@ pub(crate) struct RebalanceState {
 
 impl RebalanceState {
     fn new(enabled: bool, shards: usize, mesh: &Mesh, horizon: u64) -> Self {
-        // Worst-case pending volume: every pipe can hold one item per
-        // cycle of the wheel horizon, each with one scheduled delivery.
+        // Worst-case volume in flight: one flit and one credit per
+        // (node, port) link per cycle of the calendar horizon, plus one
+        // cycle's worth staged in the mail.
         let slots = if enabled {
             mesh.nodes() * mesh.ports() * (horizon as usize + 1)
         } else {
@@ -645,16 +620,8 @@ impl RebalanceState {
             next_decision: 0,
             stride: 1,
             epoch_totals: vec![0; if enabled { shards } else { 0 }],
-            deliveries: Vec::with_capacity(slots),
+            flits: Vec::with_capacity(slots),
             credits: Vec::with_capacity(slots),
-            // One staged flit per mailbox slot is the hard ceiling (one
-            // emission per (node, port) per cycle).
-            flits: Vec::with_capacity(if enabled {
-                mesh.nodes() * mesh.ports()
-            } else {
-                0
-            }),
-            pipe_credits: Vec::with_capacity(if enabled { horizon as usize + 1 } else { 0 }),
             prefix: Vec::with_capacity(if enabled { rows + 1 } else { 0 }),
             new_ranges: Vec::with_capacity(if enabled { shards } else { 0 }),
         }
@@ -733,48 +700,40 @@ impl ShardSet {
         self.aux.iter().map(|a| a.router_ticks).sum()
     }
 
+    /// Flits on a wire: on a shard's calendar, or staged in the mail
+    /// across a cycle boundary (published at emission, scheduled by the
+    /// receiver at the start of its next round).
+    pub(crate) fn flits_in_flight(&self) -> u64 {
+        let scheduled: u64 = self.aux.iter().map(|a| a.calendar.flits_in_flight()).sum();
+        scheduled + self.mail.staged_flits()
+    }
+
     /// Repartitions the flat per-node state along `rebal.new_ranges`,
-    /// re-homing every in-flight artifact onto its new owner. Runs
+    /// re-homing every in-flight message onto its new owner. Runs
     /// between eras — no worker holds a shard view — right after an
     /// executed cycle `N`, which pins the timing invariants: every
-    /// wheel's cursor is at `N`, every pending delivery/credit is due in
-    /// `(N, N + horizon]`, and staged mailbox flits carry `at == N` — so
+    /// calendar's cursor is at `N`, and every message in flight, on a
+    /// calendar or staged in the mail, is due in `(N, N + horizon]` — so
     /// every re-schedule below satisfies the wheels' horizon asserts.
-    ///
-    /// The one subtle case is a **credit pipe crossing a new seam**:
-    /// `credit_back[node][port]`'s consumer is the *upstream* router,
-    /// so if the new cut separates `node` from its upstream the pending
-    /// pipe contents are converted — due cycles intact — into
-    /// mailbox-style [`CreditMsg`]s on the consumer's `remote_credits`
-    /// wheel (exactly where an emission-time cross-shard credit would
-    /// have gone), and the pipe's deliveries are dropped with the
-    /// emptied pipe. Local-port credits never convert: their consumer
-    /// is the node's own source. Returns how many nodes changed owner.
-    pub(crate) fn migrate(
-        &mut self,
-        mesh: &Mesh,
-        flit_in: &mut [Vec<DelayPipe<Flit>>],
-        credit_back: &mut [Vec<DelayPipe<usize>>],
-        link_delay: u64,
-    ) -> u64 {
+    /// Each message is addressed to its consumer, so re-homing is one
+    /// lookup of the consumer's owner. Returns how many nodes changed
+    /// owner.
+    pub(crate) fn migrate(&mut self) -> u64 {
         let rebal = &mut self.rebal;
         debug_assert_eq!(rebal.new_ranges.len(), self.ranges.len());
-        // 1. Strip every shard's event state into the scratch, due
+        // 1. Strip every calendar and mailbox into the scratch, due
         //    cycles intact. The cached source horizons are partition
         //    scoped only in the sense that a new owner re-votes them;
         //    reset forces that re-vote.
-        rebal.deliveries.clear();
-        rebal.credits.clear();
         rebal.flits.clear();
+        rebal.credits.clear();
         for aux in &mut self.aux {
-            aux.wheel.drain_pending_into(&mut rebal.deliveries);
-            aux.remote_credits.drain_pending_into(&mut rebal.credits);
+            aux.calendar
+                .drain_pending_into(&mut rebal.flits, &mut rebal.credits);
             aux.src_next = 0;
         }
-        // 2. Staged boundary mail (published during cycle N, not yet
-        //    applied by its receivers).
         self.mail.drain_all(&mut rebal.flits, &mut rebal.credits);
-        // 3. Install the new partition.
+        // 2. Install the new partition.
         let mut moved = 0u64;
         self.ranges.copy_from_slice(&rebal.new_ranges);
         for (i, &(lo, hi)) in self.ranges.iter().enumerate() {
@@ -785,56 +744,14 @@ impl ShardSet {
                 }
             }
         }
-        // 4. Re-home everything onto the new owners.
-        let local = mesh.local_port();
-        for &(at, d) in &rebal.deliveries {
-            let node = d.node as usize;
-            let owner = self.node_shard[node] as usize;
-            let port = d.port as usize;
-            let seam_upstream = (d.credit && port != local)
-                .then(|| {
-                    mesh.neighbor(node, port)
-                        .expect("credit on an unwired port")
-                })
-                .filter(|&up| self.node_shard[up] as usize != owner);
-            if let Some(up) = seam_upstream {
-                // Convert the pipe's pending credits for the moved
-                // consumer; a later delivery for the same (now empty)
-                // pipe converts nothing and is likewise dropped.
-                rebal.pipe_credits.clear();
-                credit_back[node][port].drain_all_into(&mut rebal.pipe_credits);
-                let up_owner = self.node_shard[up] as usize;
-                for &(due, vc) in &rebal.pipe_credits {
-                    self.aux[up_owner].remote_credits.schedule(
-                        due,
-                        CreditMsg {
-                            node: up as u32,
-                            port: mesh.opposite(port) as u8,
-                            vc: vc as u32,
-                            due,
-                        },
-                    );
-                }
-            } else {
-                self.aux[owner].wheel.schedule(at, d);
-            }
+        // 3. Re-home everything onto its consumer's new owner.
+        for &(due, a) in &rebal.flits {
+            let owner = self.node_shard[a.node as usize] as usize;
+            self.aux[owner].calendar.flits.schedule(due, a);
         }
-        for &(due, m) in &rebal.credits {
-            let owner = self.node_shard[m.node as usize] as usize;
-            self.aux[owner].remote_credits.schedule(due, m);
-        }
-        for m in &rebal.flits {
-            let node = m.node as usize;
-            let owner = self.node_shard[node] as usize;
-            flit_in[node][m.port as usize].push(m.at, m.flit);
-            self.aux[owner].wheel.schedule(
-                m.at + 1 + link_delay,
-                Delivery {
-                    node: m.node,
-                    port: m.port,
-                    credit: false,
-                },
-            );
+        for &(due, c) in &rebal.credits {
+            let owner = self.node_shard[c.node as usize] as usize;
+            self.aux[owner].calendar.credits.schedule(due, c);
         }
         moved
     }
@@ -845,6 +762,7 @@ pub(crate) struct ShardEnv<'a> {
     pub mesh: Mesh,
     pub pattern: &'a TrafficPattern,
     pub route_table: &'a RouteTable,
+    pub links: &'a LinkTable,
     /// The compiled fault plan, when the run has one. Shared read-only;
     /// every fault decision is a pure function of (plan, seed, cycle),
     /// so shards need no coordination to agree on it.
@@ -874,8 +792,6 @@ pub(crate) struct ShardCtx<'a> {
     pub lo: usize,
     pub routers: &'a mut [Router],
     pub sources: &'a mut [Source],
-    pub flit_in: &'a mut [Vec<DelayPipe<Flit>>],
-    pub credit_back: &'a mut [Vec<DelayPipe<usize>>],
     /// Reassembly slots of this shard's nodes (`(hi - lo) * vcs` entries).
     pub eject_slots: &'a mut [(PacketId, u32)],
     /// Clip-at-head slots of this shard's nodes' output links
@@ -896,101 +812,54 @@ pub(crate) struct ShardCtx<'a> {
 }
 
 impl ShardCtx<'_> {
-    /// Phase 0: applies the boundary mail other shards published last
-    /// round. Flits are pushed into this shard's own delay pipes with
-    /// their original emission cycle (`FlitMsg::at`), so they deliver at
-    /// exactly the cycle a same-shard departure would have; credits are
-    /// parked on the `remote_credits` wheel by their absolute due cycle,
-    /// and the ones due *this* cycle are applied (pure commuting counter
-    /// increments — the serial engine applies them in its delivery
-    /// phase of the same cycle).
-    pub(crate) fn begin_cycle(&mut self, env: &ShardEnv<'_>, now: u64) {
+    /// Phase 1a: schedules the boundary mail other shards published
+    /// last round onto this shard's calendar, at the due cycle each
+    /// message was stamped with at emission; then delivers the flits,
+    /// and then the credits, the calendar has due at `now`. Mirrors the
+    /// serial engines' delivery phase.
+    pub(crate) fn phase_deliver(&mut self, env: &ShardEnv<'_>, now: u64) {
         for from in 0..env.mail.shards() {
             if from == self.idx {
                 continue;
             }
             let mut slot = lock_mailbox(env.mail.flit_slot(from, self.idx));
-            for m in slot.drain(..) {
-                let i = m.node as usize - self.lo;
-                self.flit_in[i][m.port as usize].push(m.at, m.flit);
-                self.aux.wheel.schedule(
-                    m.at + 1 + env.link_delay,
-                    Delivery {
-                        node: m.node,
-                        port: m.port,
-                        credit: false,
-                    },
-                );
+            for (due, a) in slot.drain(..) {
+                self.aux.calendar.flits.schedule(due, a);
             }
             let mut slot = lock_mailbox(env.mail.credit_slot(from, self.idx));
-            for m in slot.drain(..) {
-                self.aux.remote_credits.schedule(m.due, m);
+            for (due, c) in slot.drain(..) {
+                self.aux.calendar.credits.schedule(due, c);
             }
         }
-        let mut due = self.aux.remote_credits.take_due(now);
-        for m in due.drain(..) {
-            self.routers[m.node as usize - self.lo].accept_credit(
-                m.port as usize,
-                m.vc as usize,
-                now,
-            );
-        }
-        self.aux.remote_credits.restore(now, due);
-    }
-
-    /// Phase 1a: drains every pipe delivery due at `now` on this shard's
-    /// wheel. Mirrors the serial engines' delivery phase. Every credit
-    /// pipe drained here has a same-shard upstream (or the local
-    /// source) — cross-shard credits travel by mailbox at emission time
-    /// and never enter these pipes.
-    pub(crate) fn phase_deliver(&mut self, env: &ShardEnv<'_>, now: u64) {
-        let mesh = env.mesh;
-        let local = mesh.local_port();
+        let local = env.mesh.local_port();
         let metering = env.rebalance_epoch != 0;
-        let mut due = self.aux.wheel.take_due(now);
-        for d in due.drain(..) {
-            let node = d.node as usize;
-            let i = node - self.lo;
-            let port = d.port as usize;
-            if d.credit {
-                while let Some(vc) = self.credit_back[i][port].pop_ready(now) {
-                    if port == local {
-                        self.sources[i].credit(vc);
-                    } else {
-                        let upstream = mesh
-                            .neighbor(node, port)
-                            .expect("credit on an unwired port");
-                        debug_assert_eq!(
-                            env.node_shard[upstream] as usize, self.idx,
-                            "cross-shard credit leaked into a credit pipe"
-                        );
-                        self.routers[upstream - self.lo].accept_credit(
-                            mesh.opposite(port),
-                            vc,
-                            now,
-                        );
-                    }
-                }
-            } else {
-                let mut popped = 0u64;
-                while let Some(flit) = self.flit_in[i][port].pop_ready(now) {
-                    self.routers[i].accept_flit(port, flit, now);
-                    self.active[i] = true;
-                    popped += 1;
-                }
-                if metering {
-                    self.work_epoch[i] += popped;
-                }
+        let mut flits = self.aux.calendar.flits.take_due(now);
+        for a in flits.drain(..) {
+            let i = a.node as usize - self.lo;
+            self.routers[i].accept_flit(a.port as usize, a.flit, now);
+            self.active[i] = true;
+            if metering {
+                self.work_epoch[i] += 1;
             }
         }
-        self.aux.wheel.restore(now, due);
+        self.aux.calendar.flits.restore(now, flits);
+        let mut credits = self.aux.calendar.credits.take_due(now);
+        for c in credits.drain(..) {
+            let i = c.node as usize - self.lo;
+            if c.port as usize == local {
+                self.sources[i].credit(c.vc as usize);
+            } else {
+                self.routers[i].accept_credit(c.port as usize, c.vc as usize, now);
+            }
+        }
+        self.aux.calendar.credits.restore(now, credits);
     }
 
     /// Phase 1b: steps this shard's sources in node order, recording the
     /// created packet ids for the serial tagging commit.
     pub(crate) fn phase_sources(&mut self, env: &ShardEnv<'_>, now: u64) {
         let mesh = env.mesh;
-        let local = mesh.local_port();
+        let local = mesh.local_port() as u8;
         let mut step = std::mem::take(&mut self.aux.step_buf);
         let mut out = lock_mailbox(&env.outs[self.idx]);
         for i in 0..self.sources.len() {
@@ -1014,13 +883,12 @@ impl ShardCtx<'_> {
                     }
                     continue;
                 }
-                self.flit_in[i][local].push(now, flit);
-                self.aux.wheel.schedule(
+                self.aux.calendar.flits.schedule(
                     now + 1 + env.link_delay,
-                    Delivery {
+                    FlitArrival {
                         node: (self.lo + i) as u32,
-                        port: local as u8,
-                        credit: false,
+                        port: local,
+                        flit,
                     },
                 );
             }
@@ -1030,9 +898,10 @@ impl ShardCtx<'_> {
     }
 
     /// Phase 2: ticks this shard's active routers in node order.
-    /// Cross-shard departures and credits are staged in the mailboxes at
-    /// emission time (tagged with their emission/due cycle); ejections
-    /// and channel-load events are recorded for the serial commit.
+    /// Departures and credits go on the calendar of their consumer's
+    /// shard: this shard's own directly, another's through the mailboxes
+    /// (tagged with their due cycle). Ejections and channel-load events
+    /// are recorded for the serial commit.
     pub(crate) fn phase_tick(&mut self, env: &ShardEnv<'_>, now: u64) {
         let mesh = env.mesh;
         let local = mesh.local_port();
@@ -1068,56 +937,40 @@ impl ShardCtx<'_> {
                 if dep.out_port == local {
                     self.eject(env, node, dep.flit, &mut out);
                 } else {
-                    let next = mesh
-                        .neighbor(node, dep.out_port)
-                        .expect("departure off the mesh edge");
-                    let in_port = mesh.opposite(dep.out_port);
-                    let owner = env.node_shard[next] as usize;
+                    let (next, port) = env.links.far_end(node, dep.out_port);
+                    let owner = env.node_shard[next as usize] as usize;
+                    let mail = (
+                        now + 1 + env.link_delay,
+                        FlitArrival {
+                            node: next,
+                            port,
+                            flit: dep.flit,
+                        },
+                    );
                     if owner == self.idx {
-                        self.flit_in[next - self.lo][in_port].push(now, dep.flit);
-                        self.aux.wheel.schedule(
-                            now + 1 + env.link_delay,
-                            Delivery {
-                                node: next as u32,
-                                port: in_port as u8,
-                                credit: false,
-                            },
-                        );
+                        self.aux.calendar.flits.schedule(mail.0, mail.1);
                     } else {
                         out.mail_flits += 1;
-                        self.aux.out_flits[owner].push(FlitMsg {
-                            node: next as u32,
-                            port: in_port as u8,
-                            flit: dep.flit,
-                            at: now,
-                        });
+                        self.aux.out_flits[owner].push(mail);
                     }
                 }
             }
             for c in buf.credits.drain(..) {
-                let upstream = (c.in_port != local).then(|| {
-                    mesh.neighbor(node, c.in_port)
-                        .expect("credit on an unwired port")
-                });
-                let owner = upstream.map_or(self.idx, |up| env.node_shard[up] as usize);
+                let (up, port) = env.links.far_end(node, c.in_port);
+                let owner = env.node_shard[up as usize] as usize;
+                let mail = (
+                    now + 1 + env.credit_latency,
+                    CreditArrival {
+                        node: up,
+                        port,
+                        vc: c.vc as u8,
+                    },
+                );
                 if owner == self.idx {
-                    self.credit_back[i][c.in_port].push(now, c.vc);
-                    self.aux.wheel.schedule(
-                        now + 1 + env.credit_latency,
-                        Delivery {
-                            node: node as u32,
-                            port: c.in_port as u8,
-                            credit: true,
-                        },
-                    );
+                    self.aux.calendar.credits.schedule(mail.0, mail.1);
                 } else {
                     out.mail_credits += 1;
-                    self.aux.out_credits[owner].push(CreditMsg {
-                        node: upstream.expect("cross-shard credit has an upstream") as u32,
-                        port: mesh.opposite(c.in_port) as u8,
-                        vc: c.vc as u32,
-                        due: now + 1 + env.credit_latency,
-                    });
+                    self.aux.out_credits[owner].push(mail);
                 }
             }
             if self.routers[i].is_quiescent() {
@@ -1129,7 +982,7 @@ impl ShardCtx<'_> {
         drop(out);
         self.aux.tick_buf = buf;
 
-        // Publish staged boundary mail for the owners' next begin phase.
+        // Publish staged boundary mail for the owners' next delivery phase.
         for to in 0..env.mail.shards() {
             if to == self.idx {
                 continue;
@@ -1150,17 +1003,16 @@ impl ShardCtx<'_> {
     /// Casts this shard's quiescence vote after executing cycle `now`:
     /// the earliest future cycle at which it has any work. A busy shard
     /// (active routers, or mail published this cycle that the receiver
-    /// must apply next round) votes `now + 1`; an idle one votes the
-    /// earliest of its pending wheel deliveries, parked remote credits,
-    /// and the next possible source-injection crossing (cached — a quiet
+    /// must schedule next round) votes `now + 1`; an idle one votes the
+    /// earliest of its calendar's next due message and the next possible
+    /// source-injection crossing (cached — a quiet
     /// source's crossing schedule is fixed arithmetic, so the cache
     /// stays valid until reached).
     pub(crate) fn vote(&mut self, lockstep: &Lockstep, now: u64) {
         let next = if self.aux.busy || self.aux.sent_mail {
             now + 1
         } else {
-            let mut v = self.aux.wheel.next_due().unwrap_or(u64::MAX);
-            v = v.min(self.aux.remote_credits.next_due().unwrap_or(u64::MAX));
+            let v = self.aux.calendar.next_due().unwrap_or(u64::MAX);
             if now + 1 >= self.aux.src_next {
                 let mut s = u64::MAX;
                 for src in self.sources.iter() {
@@ -1214,7 +1066,6 @@ impl ShardCtx<'_> {
     pub(crate) fn run_cycle(&mut self, env: &ShardEnv<'_>, lockstep: &Lockstep, now: u64) {
         if env.trace {
             let t0 = std::time::Instant::now();
-            self.begin_cycle(env, now);
             self.phase_deliver(env, now);
             let t1 = std::time::Instant::now();
             self.phase_sources(env, now);
@@ -1228,7 +1079,6 @@ impl ShardCtx<'_> {
             }
             drop(out);
         } else {
-            self.begin_cycle(env, now);
             self.phase_deliver(env, now);
             self.phase_sources(env, now);
             self.phase_tick(env, now);
@@ -1240,15 +1090,15 @@ impl ShardCtx<'_> {
     /// Fast-forwards this shard over the quiescent cycles
     /// `[now, target)`: sources advance their accumulators by pure
     /// repeated addition (bit-identical to stepping them through cycles
-    /// that inject nothing), and the wheels skip ahead (debug-asserting
-    /// that no pending delivery is jumped — the vote guarantees it).
+    /// that inject nothing), and the calendar skips ahead
+    /// (debug-asserting that no message due is jumped — the vote
+    /// guarantees it).
     pub(crate) fn fast_forward(&mut self, now: u64, target: u64) {
         debug_assert!(target > now, "fast-forward must move forward");
         for src in self.sources.iter_mut() {
             src.fast_forward(target - now);
         }
-        self.aux.wheel.advance_to(target - 1);
-        self.aux.remote_credits.advance_to(target - 1);
+        self.aux.calendar.advance_to(target - 1);
     }
 
     /// The shard-local mirror of the serial engines' departure clip

@@ -1,34 +1,45 @@
-//! The network simulator: routers wired by delay pipes, driven by
-//! constant-rate sources, measured with the paper's warm-up + tagged
+//! The network simulator: routers wired by a delivery calendar, driven
+//! by constant-rate sources, measured with the paper's warm-up + tagged
 //! sample protocol.
 //!
-//! # Two engines, one result
+//! # One calendar, three engines, one result
 //!
-//! The network can be advanced by either of two engines (selected with
+//! Every flit and credit on a wire is scheduled on a delivery
+//! [`Calendar`] when it is emitted, under the cycle it arrives and
+//! addressed to its consumer: a flit to the downstream router's input
+//! port, a credit to the upstream router's output port (or to the node's
+//! own source for the local port). Each cycle an engine takes the flits
+//! due, then the credits due, and hands each straight to its consumer.
+//! The network can be advanced by any of three engines (selected with
 //! [`crate::config::EngineKind`]):
 //!
-//! * **cycle-driven** — every cycle, poll every channel and tick every
-//!   router. The reference implementation: obviously correct, O(nodes)
-//!   work per cycle no matter how idle the fabric is.
-//! * **event-driven** — the default. Deliveries are scheduled on a
-//!   calendar wheel when flits/credits are pushed, so idle channels are
-//!   never polled; routers are ticked only while non-quiescent (see
-//!   [`Router::is_quiescent`]), and are woken by flit arrival. At the
+//! * **cycle-driven** — every cycle, drain the calendar and tick every
+//!   router. The reference implementation: it never skips a router and
+//!   never fast-forwards, O(nodes) work per cycle no matter how idle the
+//!   fabric is.
+//! * **event-driven** — the default. Routers are ticked only while
+//!   non-quiescent (see [`Router::is_quiescent`]) and are woken by flit
+//!   arrival; when nothing is active and nothing is due, the engine
+//!   fast-forwards to the calendar's next due cycle. At the
 //!   sub-saturation loads that dominate a latency–throughput curve, most
 //!   routers are idle in most cycles, so this skips the bulk of the work.
+//! * **sharded-parallel** — the event engine split across threads, one
+//!   calendar per shard (see [`crate::shard`]).
 //!
 //! The engines produce **bit-identical** results, because the event
 //! engine only elides provable no-ops: a quiescent router's tick changes
-//! no state (arbiter priorities move only on grants), credits are
-//! push-delivered, and per-channel FIFO order is preserved by the pipes
-//! regardless of when they are drained. Within a delivery phase the
-//! per-pipe drains commute (they touch disjoint queues/counters), sources
-//! are stepped in node order, routers are ticked in node order, and
-//! routers only interact through pipes with ≥ 1 cycle of latency — so
-//! every cross-engine reordering is of commuting operations. The claim is
-//! enforced, not assumed: `tests/engine_equivalence.rs` runs both engines
-//! over randomized configurations and asserts identical measurements.
+//! no state (arbiter priorities move only on grants), and a credit only
+//! enables work for flits its receiver already buffers. Within a
+//! delivery phase the deliveries commute (each touches one input buffer
+//! or one credit counter), a link carries at most one flit per cycle,
+//! sources are stepped in node order, routers are ticked in node order,
+//! and routers only interact through links with ≥ 1 cycle of latency —
+//! so every cross-engine reordering is of commuting operations. The
+//! claim is enforced, not assumed: `tests/engine_equivalence.rs` runs
+//! the engines over randomized configurations and asserts identical
+//! measurements.
 
+use crate::calendar::{Calendar, CreditArrival, FlitArrival, LinkTable};
 use crate::channel_load::ChannelLoad;
 use crate::config::{ConfigError, EngineKind, NetworkConfig};
 use crate::fault::{clip, ClipSlot, DropReason, DropStats, FaultModel};
@@ -41,7 +52,7 @@ use crate::source::{packet_seq, packet_source, Source, SourceStep};
 use crate::stats::{EngineWork, LatencyStats, PhaseNanos};
 use crate::tap::{BoundaryCounts, EngineView, TelemetryState};
 use crate::topology::Mesh;
-use router_core::{DelayPipe, EventWheel, Flit, PacketId, Router, RoutingOracle, TickOutput};
+use router_core::{Flit, PacketId, Router, RoutingOracle, TickOutput};
 use runqueue::CancelToken;
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
@@ -152,16 +163,6 @@ pub struct RunResult {
     pub trace: Option<TraceLog>,
 }
 
-/// A wake-up notice scheduled on the event wheel: "pipe `(node, port)`
-/// has an item arriving; drain it".
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Delivery {
-    pub(crate) node: u32,
-    pub(crate) port: u8,
-    /// Credit pipe (`credit_back`) rather than flit pipe (`flit_in`).
-    pub(crate) credit: bool,
-}
-
 /// A mesh of routers under simulation.
 #[derive(Debug)]
 pub struct Network {
@@ -170,18 +171,16 @@ pub struct Network {
     sources: Vec<Source>,
     /// Precomputed per-node routing decisions (see [`RouteTable`]).
     route_table: RouteTable,
-    /// `flit_in[node][port]`: channel delivering flits into that input.
-    flit_in: Vec<Vec<DelayPipe<Flit>>>,
-    /// `credit_back[node][port]`: carries freed-buffer credits of that
-    /// input port back to its upstream (router or source).
-    credit_back: Vec<Vec<DelayPipe<usize>>>,
+    /// The far end of every link, resolved once (see [`LinkTable`]).
+    links: LinkTable,
     now: u64,
     /// Credit return latency (propagation + processing − 1), cached.
     credit_latency: u64,
-    // Event-engine state (unused by the cycle-driven engine).
-    /// Scheduled pipe deliveries, indexed by arrival cycle.
-    wheel: EventWheel<Delivery>,
-    /// Routers with work pending; ticked each cycle until quiescent.
+    /// Every flit and credit in flight (the serial engines'; each shard
+    /// of the sharded engine keeps its own).
+    calendar: Calendar,
+    /// Routers with work pending; the event engine ticks them each cycle
+    /// until quiescent.
     router_active: Vec<bool>,
     /// Reused tick output buffer.
     tick_buf: TickOutput,
@@ -337,12 +336,13 @@ impl Network {
         let rcfg = cfg.router_config();
         let buffers = rcfg.buffers_per_vc as u64;
 
+        let links = LinkTable::new(mesh);
         let mut routers: Vec<Router> = (0..nodes).map(|_| Router::new(rcfg)).collect();
         for (node, router) in routers.iter_mut().enumerate() {
             for port in 0..ports {
                 if port == local {
                     router.mark_sink(port);
-                } else if mesh.neighbor(node, port).is_some() {
+                } else if links.is_wired(node, port) {
                     router.set_output_credits(port, buffers);
                 } else {
                     router.set_output_credits(port, 0); // mesh edge
@@ -358,15 +358,9 @@ impl Network {
         let route_table = RouteTable::new(mesh, cfg.routing, rcfg.vcs);
         let fault = FaultModel::new(&cfg, &route_table);
         let credit_latency = cfg.credit_prop_delay + cfg.credit_proc_delay - 1;
-        let flit_in = (0..nodes)
-            .map(|_| (0..ports).map(|_| DelayPipe::new(cfg.link_delay)).collect())
-            .collect();
-        let credit_back = (0..nodes)
-            .map(|_| (0..ports).map(|_| DelayPipe::new(credit_latency)).collect())
-            .collect();
 
-        // Horizon: a delivery pushed during cycle `t` arrives at
-        // `t + 1 + latency`, so the wheel must reach that far ahead.
+        // Horizon: a message emitted during cycle `t` arrives at
+        // `t + 1 + latency`, so the calendar must reach that far ahead.
         let horizon = 1 + cfg.link_delay.max(credit_latency) + 1;
         let channel_load = ChannelLoad::new(&cfg.mesh);
         let vcs = cfg.router.vcs();
@@ -387,11 +381,10 @@ impl Network {
             routers,
             sources,
             route_table,
-            flit_in,
-            credit_back,
+            links,
             now: 0,
             credit_latency,
-            wheel: EventWheel::new(horizon),
+            calendar: Calendar::new(horizon),
             router_active: vec![false; nodes],
             tick_buf: TickOutput::default(),
             source_step_buf: SourceStep::default(),
@@ -463,93 +456,40 @@ impl Network {
     /// wall-clock speed. [`Network::run`] is where the worker pool lives.
     pub fn step(&mut self) {
         match self.cfg.engine {
-            EngineKind::CycleDriven => self.step_cycle(),
-            EngineKind::EventDriven => self.step_event(),
+            EngineKind::CycleDriven => self.step_serial(false),
+            EngineKind::EventDriven => self.step_serial(true),
             EngineKind::ParallelShards { .. } => self.step_parallel_inline(),
         }
     }
 
-    /// The reference engine: poll every pipe, tick every router.
-    fn step_cycle(&mut self) {
+    /// One cycle of a serial engine: deliver what the calendar has due,
+    /// step the sources, tick the routers. The cycle-driven reference
+    /// ticks every router; the event-driven engine (`skip_idle`) ticks
+    /// only the active set. See the module docs for the equivalence
+    /// argument.
+    fn step_serial(&mut self, skip_idle: bool) {
         let now = self.now;
         let mesh = self.cfg.mesh;
-        let nodes = mesh.nodes();
         let timing = self.cfg.phase_timing;
         let t0 = timing.then(Instant::now);
 
-        // 1. Deliver flits into input buffers.
-        for node in 0..nodes {
-            for port in 0..mesh.ports() {
-                self.drain_flit_pipe(now, node, port);
-            }
-        }
-
-        // 2. Deliver credits to the upstream of each input port.
-        for node in 0..nodes {
-            for port in 0..mesh.ports() {
-                self.drain_credit_pipe(now, &mesh, node, port);
-            }
-        }
+        // 1. Deliver everything due this cycle.
+        self.deliver(now);
 
         let t1 = timing.then(Instant::now);
 
-        // 3. Sources generate and inject.
-        self.step_sources(now, &mesh);
-
-        let t2 = timing.then(Instant::now);
-
-        // 4. Routers advance; forward their departures and credits.
-        for node in 0..nodes {
-            self.tick_router(now, &mesh, node);
-        }
-
-        let t3 = timing.then(Instant::now);
-        self.meas.channel_load.tick();
-        self.now += 1;
-        if let (Some(t0), Some(t1), Some(t2), Some(t3)) = (t0, t1, t2, t3) {
-            self.phases.accumulate(t0, t1, t2, t3, Instant::now());
-        }
-        self.telemetry_boundary();
-    }
-
-    /// The event-driven engine: drain only the pipes with a delivery due
-    /// (scheduled on the wheel at push time) and tick only the routers in
-    /// the active set. See the module docs for the equivalence argument.
-    fn step_event(&mut self) {
-        let now = self.now;
-        let mesh = self.cfg.mesh;
-        let nodes = mesh.nodes();
-        let timing = self.cfg.phase_timing;
-        let t0 = timing.then(Instant::now);
-
-        // 1+2. Deliver everything due this cycle. Per-pipe drains commute,
-        // so processing them in schedule order (not node order) is
-        // equivalent to the cycle engine's fixed sweep.
-        let mut due = self.wheel.take_due(now);
-        for d in due.drain(..) {
-            let (node, port) = (d.node as usize, d.port as usize);
-            if d.credit {
-                self.drain_credit_pipe(now, &mesh, node, port);
-            } else {
-                self.drain_flit_pipe(now, node, port);
-            }
-        }
-        self.wheel.restore(now, due);
-
-        let t1 = timing.then(Instant::now);
-
-        // 3. Sources generate and inject (every cycle: constant-rate
+        // 2. Sources generate and inject (every cycle: constant-rate
         // accumulation must add `rate` exactly once per cycle to stay
         // bit-identical with the reference engine).
         self.step_sources(now, &mesh);
 
         let t2 = timing.then(Instant::now);
 
-        // 4. Tick the active routers in node order (eject order feeds the
+        // 3. Tick the routers in node order (eject order feeds the
         // latency accumulator, whose floating-point state is
         // order-sensitive), retiring the ones that went quiescent.
-        for node in 0..nodes {
-            if self.router_active[node] {
+        for node in 0..mesh.nodes() {
+            if self.router_active[node] || !skip_idle {
                 self.tick_router(now, &mesh, node);
                 if self.routers[node].is_quiescent() {
                     self.router_active[node] = false;
@@ -564,6 +504,35 @@ impl Network {
             self.phases.accumulate(t0, t1, t2, t3, Instant::now());
         }
         self.telemetry_boundary();
+    }
+
+    /// Delivers the flits, then the credits, the calendar has due at
+    /// `now`: each flit into its router's input buffer (waking the
+    /// router), each credit to its upstream router or source.
+    ///
+    /// A credit needs no wake-up: it only *enables* work for flits the
+    /// receiver already buffers. A non-quiescent receiver is already in
+    /// the active set; a quiescent one stays a no-op until a flit arrives
+    /// (see [`Router::is_quiescent`]).
+    fn deliver(&mut self, now: u64) {
+        let local = self.cfg.mesh.local_port();
+        let mut flits = self.calendar.flits.take_due(now);
+        for a in flits.drain(..) {
+            let node = a.node as usize;
+            self.routers[node].accept_flit(a.port as usize, a.flit, now);
+            self.router_active[node] = true;
+        }
+        self.calendar.flits.restore(now, flits);
+        let mut credits = self.calendar.credits.take_due(now);
+        for c in credits.drain(..) {
+            let node = c.node as usize;
+            if c.port as usize == local {
+                self.sources[node].credit(c.vc as usize);
+            } else {
+                self.routers[node].accept_credit(c.port as usize, c.vc as usize, now);
+            }
+        }
+        self.calendar.credits.restore(now, credits);
     }
 
     /// Emits the epoch snapshot if this engine has just *arrived* at the
@@ -587,7 +556,7 @@ impl Network {
         } else {
             EngineView::Serial {
                 router_ticks: self.router_ticks,
-                wheel_pending: self.wheel.pending() as u64,
+                wheel_pending: self.calendar.pending() as u64,
             }
         };
         let meas = &mut self.meas;
@@ -605,42 +574,11 @@ impl Network {
         );
     }
 
-    /// Delivers every flit due by `now` on `flit_in[node][port]`, waking
-    /// the receiving router.
-    fn drain_flit_pipe(&mut self, now: u64, node: usize, port: usize) {
-        while let Some(flit) = self.flit_in[node][port].pop_ready(now) {
-            self.routers[node].accept_flit(port, flit, now);
-            self.router_active[node] = true;
-        }
-    }
-
-    /// Delivers every credit due by `now` on `credit_back[node][port]` to
-    /// the upstream router or source.
-    ///
-    /// No wake-up is needed: a credit only *enables* work for flits the
-    /// receiver already buffers. A non-quiescent receiver is already in
-    /// the active set; a quiescent one stays a no-op until a flit arrives
-    /// (see [`Router::is_quiescent`]).
-    fn drain_credit_pipe(&mut self, now: u64, mesh: &Mesh, node: usize, port: usize) {
-        let local = mesh.local_port();
-        while let Some(vc) = self.credit_back[node][port].pop_ready(now) {
-            if port == local {
-                self.sources[node].credit(vc);
-            } else {
-                let upstream = mesh
-                    .neighbor(node, port)
-                    .expect("credit on an unwired port");
-                self.routers[upstream].accept_credit(mesh.opposite(port), vc, now);
-            }
-        }
-    }
-
-    /// Steps every source in node order; tags sample packets and pushes
-    /// injected flits onto the local input channel.
+    /// Steps every source in node order; tags sample packets and
+    /// schedules injected flits into the local input port.
     fn step_sources(&mut self, now: u64, mesh: &Mesh) {
-        let local = mesh.local_port();
+        let local = mesh.local_port() as u8;
         let measuring = now >= self.cfg.warmup_cycles;
-        let event_driven = self.cfg.engine == EngineKind::EventDriven;
         let mut step = std::mem::take(&mut self.source_step_buf);
         for node in 0..mesh.nodes() {
             self.sources[node].step_into(now, mesh, &self.cfg.pattern, &mut step);
@@ -672,17 +610,14 @@ impl Network {
                     }
                     continue;
                 }
-                self.flit_in[node][local].push(now, flit);
-                if event_driven {
-                    self.wheel.schedule(
-                        now + 1 + self.cfg.link_delay,
-                        Delivery {
-                            node: node as u32,
-                            port: local as u8,
-                            credit: false,
-                        },
-                    );
-                }
+                self.calendar.flits.schedule(
+                    now + 1 + self.cfg.link_delay,
+                    FlitArrival {
+                        node: node as u32,
+                        port: local,
+                        flit,
+                    },
+                );
             }
         }
         self.source_step_buf = step;
@@ -731,11 +666,10 @@ impl Network {
         true
     }
 
-    /// Ticks router `node`, forwarding its departures and credits (and,
-    /// under the event engine, scheduling the wake-ups they imply).
+    /// Ticks router `node`, scheduling its departures and credits on the
+    /// calendar, addressed to their consumers.
     fn tick_router(&mut self, now: u64, mesh: &Mesh, node: usize) {
         let local = mesh.local_port();
-        let event_driven = self.cfg.engine == EngineKind::EventDriven;
         let oracle = NodeOracle {
             table: &self.route_table,
             node,
@@ -752,35 +686,27 @@ impl Network {
             if dep.out_port == local {
                 self.eject(node, dep.flit);
             } else {
-                let next = mesh
-                    .neighbor(node, dep.out_port)
-                    .expect("departure off the mesh edge");
-                let in_port = mesh.opposite(dep.out_port);
-                self.flit_in[next][in_port].push(now, dep.flit);
-                if event_driven {
-                    self.wheel.schedule(
-                        now + 1 + self.cfg.link_delay,
-                        Delivery {
-                            node: next as u32,
-                            port: in_port as u8,
-                            credit: false,
-                        },
-                    );
-                }
-            }
-        }
-        for c in out.credits.drain(..) {
-            self.credit_back[node][c.in_port].push(now, c.vc);
-            if event_driven {
-                self.wheel.schedule(
-                    now + 1 + self.credit_latency,
-                    Delivery {
-                        node: node as u32,
-                        port: c.in_port as u8,
-                        credit: true,
+                let (node, port) = self.links.far_end(node, dep.out_port);
+                self.calendar.flits.schedule(
+                    now + 1 + self.cfg.link_delay,
+                    FlitArrival {
+                        node,
+                        port,
+                        flit: dep.flit,
                     },
                 );
             }
+        }
+        for c in out.credits.drain(..) {
+            let (node, port) = self.links.far_end(node, c.in_port);
+            self.calendar.credits.schedule(
+                now + 1 + self.credit_latency,
+                CreditArrival {
+                    node,
+                    port,
+                    vc: c.vc as u8,
+                },
+            );
         }
         self.tick_buf = out;
     }
@@ -837,6 +763,7 @@ impl Network {
                 mesh: self.cfg.mesh,
                 pattern: &self.cfg.pattern,
                 route_table: &self.route_table,
+                links: &self.links,
                 fault: self.fault.as_ref(),
                 node_shard: &set.node_shard,
                 link_delay: self.cfg.link_delay,
@@ -861,8 +788,6 @@ impl Network {
                         lo,
                         routers: &mut self.routers[lo..hi],
                         sources: &mut self.sources[lo..hi],
-                        flit_in: &mut self.flit_in[lo..hi],
-                        credit_back: &mut self.credit_back[lo..hi],
                         eject_slots: &mut self.eject_slots[lo * vcs..hi * vcs],
                         clip_out: &mut self.clip_out[lo * pv..hi * pv],
                         clip_in: &mut self.clip_in[lo * vcs..hi * vcs],
@@ -876,9 +801,7 @@ impl Network {
             }
             let shards = set.ranges.len();
             for s in 0..shards {
-                let mut c = ctx!(s);
-                c.begin_cycle(&env, now);
-                c.phase_deliver(&env, now);
+                ctx!(s).phase_deliver(&env, now);
             }
             mark(&mut stamps, 1);
             for s in 0..shards {
@@ -935,12 +858,7 @@ impl Network {
         );
         let mut migrated = false;
         if ok && set.rebal.new_ranges != set.ranges {
-            let moved = set.migrate(
-                &self.cfg.mesh,
-                &mut self.flit_in,
-                &mut self.credit_back,
-                self.cfg.link_delay,
-            );
+            let moved = set.migrate();
             self.phases.rebalances += 1;
             self.phases.migrated_nodes += moved;
             migrated = true;
@@ -1005,6 +923,7 @@ impl Network {
                 mesh: self.cfg.mesh,
                 pattern: &self.cfg.pattern,
                 route_table: &self.route_table,
+                links: &self.links,
                 fault,
                 node_shard: &set.node_shard,
                 link_delay: self.cfg.link_delay,
@@ -1022,8 +941,6 @@ impl Network {
                 pv,
                 &mut self.routers,
                 &mut self.sources,
-                &mut self.flit_in,
-                &mut self.credit_back,
                 &mut self.eject_slots,
                 &mut self.clip_out,
                 &mut self.clip_in,
@@ -1145,7 +1062,6 @@ impl Network {
                     lockstep.gate.release();
                     // ---- fused compute phase, shard 0's share ----
                     let t2 = timing.then(Instant::now);
-                    ctx0.begin_cycle(&env, now);
                     ctx0.phase_deliver(&env, now);
                     let t3 = timing.then(Instant::now);
                     ctx0.phase_sources(&env, now);
@@ -1188,12 +1104,7 @@ impl Network {
                     );
                     let mut migrated = false;
                     if ok && set.rebal.new_ranges != set.ranges {
-                        let moved = set.migrate(
-                            &self.cfg.mesh,
-                            &mut self.flit_in,
-                            &mut self.credit_back,
-                            self.cfg.link_delay,
-                        );
+                        let moved = set.migrate();
                         self.phases.rebalances += 1;
                         self.phases.migrated_nodes += moved;
                         migrated = true;
@@ -1207,8 +1118,8 @@ impl Network {
     }
 
     /// Fast-forwards the serial event engine over cycles in which
-    /// provably nothing happens: no router is active, no delivery is due
-    /// before the next wheel event, and no source can cross its
+    /// provably nothing happens: no router is active, nothing on the
+    /// calendar is due, and no source can cross its
     /// injection threshold. The skipped cycles' only effects — one
     /// accumulator addition per source and the channel-load window — are
     /// applied in bulk, bit-identically to stepping through them (the
@@ -1236,7 +1147,7 @@ impl Network {
             self.src_next = s;
         }
         let mut target = self
-            .wheel
+            .calendar
             .next_due()
             .unwrap_or(u64::MAX)
             .min(self.src_next)
@@ -1262,7 +1173,7 @@ impl Network {
         for src in &mut self.sources {
             src.fast_forward(skipped);
         }
-        self.wheel.advance_to(target - 1);
+        self.calendar.advance_to(target - 1);
         self.meas.channel_load.tick_n(skipped);
         self.phases.fast_forwarded += skipped;
         self.now = target;
@@ -1298,20 +1209,11 @@ impl Network {
         self.meas.flits_ejected
     }
 
-    /// Flits currently on a wire (pushed into a channel, not yet
+    /// Flits currently on a wire (emitted onto a link, not yet
     /// delivered).
     #[must_use]
     pub fn flits_in_flight(&self) -> u64 {
-        let piped: u64 = self
-            .flit_in
-            .iter()
-            .flat_map(|ports| ports.iter())
-            .map(|pipe| pipe.len() as u64)
-            .sum();
-        // Boundary flits can sit in a shard mailbox across a cycle
-        // boundary (published at emission, applied by the receiver at
-        // the start of its next round) — they are on the wire too.
-        piped + self.shards.as_ref().map_or(0, |s| s.mail.staged_flits())
+        self.calendar.flits_in_flight() + self.shards.as_ref().map_or(0, ShardSet::flits_in_flight)
     }
 
     /// Flits currently buffered inside routers.
@@ -1501,8 +1403,6 @@ fn split_shards<'a>(
     pv: usize,
     mut routers: &'a mut [Router],
     mut sources: &'a mut [Source],
-    mut flit_in: &'a mut [Vec<DelayPipe<Flit>>],
-    mut credit_back: &'a mut [Vec<DelayPipe<usize>>],
     mut eject_slots: &'a mut [(PacketId, u32)],
     mut clip_out: &'a mut [ClipSlot],
     mut clip_in: &'a mut [ClipSlot],
@@ -1520,10 +1420,6 @@ fn split_shards<'a>(
         routers = rest;
         let (s, rest) = std::mem::take(&mut sources).split_at_mut(n);
         sources = rest;
-        let (f, rest) = std::mem::take(&mut flit_in).split_at_mut(n);
-        flit_in = rest;
-        let (c, rest) = std::mem::take(&mut credit_back).split_at_mut(n);
-        credit_back = rest;
         let (e, rest) = std::mem::take(&mut eject_slots).split_at_mut(n * vcs);
         eject_slots = rest;
         let (co, rest) = std::mem::take(&mut clip_out).split_at_mut(n * pv);
@@ -1543,8 +1439,6 @@ fn split_shards<'a>(
             lo,
             routers: r,
             sources: s,
-            flit_in: f,
-            credit_back: c,
             eject_slots: e,
             clip_out: co,
             clip_in: ci,
@@ -1581,7 +1475,7 @@ impl Committer<'_> {
         // Tagging first: the serial engines tag during the source phase,
         // before any ejection of the same cycle is observed. (A packet
         // created this cycle cannot eject this cycle — every path has
-        // ≥ 1 cycle of pipe latency — but the measure_start transition
+        // ≥ 1 cycle of link latency — but the measure_start transition
         // must see the source-phase state.)
         for out in outs {
             let mut o = out.lock().expect("shard out poisoned");

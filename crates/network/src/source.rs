@@ -61,8 +61,6 @@ pub struct Source {
     /// Credits into the router's local input port, per VC.
     credits: Vec<u64>,
     vc_pick: RoundRobinArbiter,
-    /// Reusable scratch for the per-cycle injection arbitration.
-    ready_buf: Vec<bool>,
     /// Total packets created (for diagnostics).
     pub packets_created: u64,
     /// Total flits injected (for diagnostics).
@@ -106,7 +104,6 @@ impl Source {
             slots: vec![None; vcs],
             credits: vec![credits_per_vc; vcs],
             vc_pick: RoundRobinArbiter::new(vcs),
-            ready_buf: vec![false; vcs],
             packets_created: 0,
             flits_injected: 0,
         }
@@ -194,14 +191,14 @@ impl Source {
         }
 
         // Inject one flit from a VC with work and credit.
-        for (r, (s, &c)) in self
-            .ready_buf
-            .iter_mut()
-            .zip(self.slots.iter().zip(&self.credits))
-        {
-            *r = s.is_some() && c > 0;
+        let mut ready = 0u64;
+        for (vc, (s, &c)) in self.slots.iter().zip(&self.credits).enumerate() {
+            if s.is_some() && c > 0 {
+                ready |= 1 << vc;
+            }
         }
-        if let Some(vc) = self.vc_pick.arbitrate(&self.ready_buf) {
+        if let Some(vc) = self.vc_pick.peek_mask(ready) {
+            self.vc_pick.advance_past(vc);
             let slot = self.slots[vc].as_mut().expect("ready slot is nonempty");
             let flit = slot.next().expect("claimed packets have flits left");
             if slot.is_exhausted() {

@@ -116,7 +116,8 @@ pub(crate) enum EngineView {
     Serial {
         /// Total router ticks so far.
         router_ticks: u64,
-        /// Events currently pending on the delivery wheel.
+        /// Flits and credits in flight on the delivery calendar (the
+        /// cycle engine's too: every serial engine delivers through it).
         wheel_pending: u64,
     },
     /// The sharded engine: gauges and spans were accumulated shard by

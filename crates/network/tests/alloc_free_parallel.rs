@@ -1,10 +1,9 @@
-//! Proof that the sharded-parallel engine's steady state is
-//! allocation-free: mailbox exchange, per-shard wheels, source stepping,
-//! and the serial measurement commit (tagging, latency, histogram,
-//! channel load) must all run out of retained buffers once capacities
-//! plateau.
+//! Proof that the engines' steady state is allocation-free: the
+//! delivery calendars, mailbox exchange, source stepping, and the
+//! measurement commit (tagging, latency, histogram, channel load) must
+//! all run out of retained buffers once capacities plateau.
 //!
-//! The network is driven through the *inline* sharded step path — the
+//! The sharded network is driven through the *inline* step path — the
 //! same phase functions and mailbox exchange the threaded run executes,
 //! minus the thread pool — because a counting global allocator needs
 //! single-threaded windows to attribute allocations deterministically.
@@ -80,7 +79,7 @@ fn sharded_steady_state_is_allocation_free() {
                     buffers_per_vc: 4,
                 },
             ),
-            shards,
+            EngineKind::ParallelShards { shards },
         );
     }
     // A 3-D mesh of 7-port routers: the generalized topology stack must
@@ -94,8 +93,31 @@ fn sharded_steady_state_is_allocation_free() {
                 buffers_per_vc: 4,
             },
         ),
-        3,
+        EngineKind::ParallelShards { shards: 3 },
     );
+}
+
+/// The serial engines deliver through the same calendar: its slot
+/// buffers are taken and restored every cycle, so once each slot has
+/// seen its high-water mark neither engine allocates — on a 2-D mesh and
+/// on a 3-D mesh of 7-port routers.
+#[test]
+fn serial_steady_state_is_allocation_free() {
+    let _serial = serial();
+    for engine in [EngineKind::EventDriven, EngineKind::CycleDriven] {
+        for mesh in [noc_network::Mesh::new(4, 2), noc_network::Mesh::new(3, 3)] {
+            run_alloc_free_check(
+                NetworkConfig::for_mesh(
+                    mesh,
+                    RouterKind::SpeculativeVc {
+                        vcs: 2,
+                        buffers_per_vc: 4,
+                    },
+                ),
+                engine,
+            );
+        }
+    }
 }
 
 /// The fused compute path at near-quiescent load: most cycles deliver
@@ -136,14 +158,14 @@ fn sharded_quiescent_cycles_are_allocation_free() {
 /// Work-metered rebalancing must not break the steady-state guarantee:
 /// the meters fold into retained EWMAs, the epoch decision reuses the
 /// prefix/range scratch, and a firing *migration* drains wheels,
-/// mailboxes, and seam credit pipes into buffers preallocated at
+/// and mailboxes into buffers preallocated at
 /// construction — so the step that performs a live migration allocates
 /// nothing, and neither do the epoch-metering windows after it.
 ///
 /// The epoch is placed past the capacity-plateau warmup and the skewed
 /// hotspot keeps imbalance above the threshold, so the drive provably
 /// migrates. After the migration the moved rows' *new* owners grow their
-/// wheel slots and pipes to the traffic once (ordinary capacity warmup),
+/// calendar slots to the traffic once (ordinary capacity warmup),
 /// which a regrow window absorbs before the measured ones. The scenario
 /// is retried because the allocation counter is process-global (another
 /// harness thread may allocate during the single migration step); an
@@ -252,7 +274,7 @@ fn telemetry_instrumented_steady_state_is_allocation_free() {
     net.assert_flit_conservation();
 }
 
-fn run_alloc_free_check(base: NetworkConfig, shards: usize) {
+fn run_alloc_free_check(base: NetworkConfig, engine: EngineKind) {
     let cfg = base
         .with_injection(0.25)
         .with_warmup(100)
@@ -260,10 +282,10 @@ fn run_alloc_free_check(base: NetworkConfig, shards: usize) {
         // measured window.
         .with_sample(u64::MAX)
         .with_max_cycles(u64::MAX)
-        .with_engine(EngineKind::ParallelShards { shards });
+        .with_engine(engine);
     let mut net = Network::new(cfg);
 
-    // Warm-up: let every retained buffer — mailboxes, wheels, shard
+    // Warm-up: let every retained buffer — calendars, mailboxes, shard
     // records, scratch, source queues — reach its high-water mark.
     let _ = alloc_window(&mut net, 1_500);
 
@@ -276,12 +298,12 @@ fn run_alloc_free_check(base: NetworkConfig, shards: usize) {
     }
     assert_eq!(
         min_window, 0,
-        "shards={shards}: every steady-state window allocated \
+        "{engine:?}: every steady-state window allocated \
              (min {min_window} per 1000 cycles)"
     );
     assert!(
         net.flits_ejected() > 1_000,
-        "shards={shards}: the drive must actually move traffic \
+        "{engine:?}: the drive must actually move traffic \
              ({} ejected)",
         net.flits_ejected()
     );

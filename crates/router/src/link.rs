@@ -1,5 +1,5 @@
 //! Fixed-latency delay pipes modeling channels and credit wires, and the
-//! calendar wheel the event-driven engine schedules deliveries on.
+//! calendar wheel an event-driven simulator schedules deliveries on.
 //!
 //! A [`DelayPipe`] delivers each item exactly `latency + 1` cycles after
 //! the cycle it was pushed in: an item sent during the switch-traversal
@@ -8,12 +8,15 @@
 //! With the paper's 1-cycle propagation delay, a flit switched at `t`
 //! arrives downstream at `t + 2`.
 //!
-//! An [`EventWheel`] complements the pipes: where a pipe holds the items
-//! themselves, the wheel holds *wake-up notices* ("something arrives on
-//! pipe X at cycle T") so an event-driven simulator can skip polling every
-//! pipe every cycle. Because all link latencies are small fixed constants,
-//! a ring of `horizon` slots indexed by `cycle % horizon` suffices — no
-//! heap, no ordering, O(1) schedule and drain.
+//! An [`EventWheel`] files items under the cycle they are due instead of
+//! under the wire they travel: schedule an item for cycle `t + 1 +
+//! latency` and it comes out at exactly the cycle a pipe of that latency
+//! would have delivered it, in the order it was scheduled. One wheel can
+//! therefore stand in for every pipe of a network at once, and a
+//! simulator touches only the cycles that have something due. Because all
+//! link latencies are small fixed constants, a ring of slots indexed by
+//! the cycle's low bits suffices — no heap, no ordering, O(1) schedule and
+//! drain.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -78,11 +81,8 @@ impl<T> DelayPipe<T> {
     }
 
     /// Drains every in-flight item with its delivery cycle, regardless
-    /// of the current cycle (the shard-migration primitive: a pipe whose
-    /// consumer moved to another shard is emptied and its contents
-    /// re-expressed as timed cross-shard messages). The push-order
-    /// cursor is preserved, so the pipe keeps accepting pushes in cycle
-    /// order afterwards.
+    /// of the current cycle. The push-order cursor is preserved, so the
+    /// pipe keeps accepting pushes in cycle order afterwards.
     pub fn drain_all_into(&mut self, into: &mut Vec<(u64, T)>) {
         into.extend(self.queue.drain(..));
     }
@@ -114,16 +114,21 @@ impl<T> fmt::Display for DelayPipe<T> {
 /// A bounded calendar queue: schedule items at future cycles, drain the
 /// items due at the current cycle in O(1).
 ///
-/// The wheel is a ring of `horizon` slots; an item scheduled for cycle `t`
-/// lives in slot `t % horizon`, so every schedule must land within
-/// `horizon` cycles of the current drain cursor — the natural fit for a
-/// synchronous network whose longest wire latency is a small constant.
-/// Slot buffers are recycled via [`EventWheel::take_due`] /
-/// [`EventWheel::restore`], so steady-state operation performs no
+/// The wheel is a ring of `horizon.next_power_of_two()` slots; an item
+/// scheduled for cycle `t` lives in slot `t & mask`, so every schedule
+/// must land within `horizon` cycles of the current drain cursor — the
+/// natural fit for a synchronous network whose longest wire latency is a
+/// small constant. Items due in the same cycle come out in the order they
+/// were scheduled. Slot buffers are recycled via [`EventWheel::take_due`]
+/// / [`EventWheel::restore`], so steady-state operation performs no
 /// allocation.
 #[derive(Debug, Clone)]
 pub struct EventWheel<T> {
     slots: Vec<Vec<T>>,
+    /// `slots.len() - 1`; the slot count is a power of two.
+    mask: u64,
+    /// How far ahead a schedule may land (≤ `slots.len()`).
+    horizon: u64,
     /// Cycle of the last `take_due`, for schedule-range checking.
     cursor: Option<u64>,
 }
@@ -137,9 +142,11 @@ impl<T> EventWheel<T> {
     #[must_use]
     pub fn new(horizon: u64) -> Self {
         assert!(horizon >= 1, "the wheel needs at least one slot");
-        let horizon = usize::try_from(horizon).expect("horizon fits in usize");
+        let slots = usize::try_from(horizon.next_power_of_two()).expect("horizon fits in usize");
         EventWheel {
-            slots: (0..horizon).map(|_| Vec::new()).collect(),
+            slots: (0..slots).map(|_| Vec::new()).collect(),
+            mask: slots as u64 - 1,
+            horizon,
             cursor: None,
         }
     }
@@ -147,7 +154,13 @@ impl<T> EventWheel<T> {
     /// How many cycles ahead the wheel can schedule.
     #[must_use]
     pub fn horizon(&self) -> u64 {
-        self.slots.len() as u64
+        self.horizon
+    }
+
+    /// The slot holding cycle `at`.
+    #[inline]
+    fn slot(&self, at: u64) -> usize {
+        (at & self.mask) as usize
     }
 
     /// Schedules `item` for cycle `at`.
@@ -171,7 +184,7 @@ impl<T> EventWheel<T> {
                 self.horizon()
             ),
         }
-        let idx = (at % self.horizon()) as usize;
+        let idx = self.slot(at);
         self.slots[idx].push(item);
     }
 
@@ -181,7 +194,7 @@ impl<T> EventWheel<T> {
     #[must_use]
     pub fn take_due(&mut self, now: u64) -> Vec<T> {
         self.cursor = Some(now);
-        let idx = (now % self.horizon()) as usize;
+        let idx = self.slot(now);
         std::mem::take(&mut self.slots[idx])
     }
 
@@ -189,7 +202,7 @@ impl<T> EventWheel<T> {
     /// allocation for future schedules.
     pub fn restore(&mut self, now: u64, mut buf: Vec<T>) {
         buf.clear();
-        let idx = (now % self.horizon()) as usize;
+        let idx = self.slot(now);
         // Keep whichever buffer has more capacity; same-cycle schedules
         // may already have repopulated the slot.
         if self.slots[idx].is_empty() && self.slots[idx].capacity() < buf.capacity() {
@@ -210,15 +223,8 @@ impl<T> EventWheel<T> {
     /// fast-forward to it instead of draining empty slots cycle by cycle.
     #[must_use]
     pub fn next_due(&self) -> Option<u64> {
-        let horizon = self.horizon();
-        match self.cursor {
-            Some(cursor) => (1..=horizon)
-                .map(|dt| cursor + dt)
-                .find(|at| !self.slots[(at % horizon) as usize].is_empty()),
-            // Before the first drain every schedule lands below the
-            // horizon, so the slot index *is* the cycle.
-            None => (0..horizon).find(|at| !self.slots[*at as usize].is_empty()),
-        }
+        let base = self.cursor.map_or(0, |c| c + 1);
+        (base..base + self.horizon).find(|&at| !self.slots[self.slot(at)].is_empty())
     }
 
     /// Drains every pending item into `into` as `(due_cycle, item)` pairs,
@@ -227,16 +233,15 @@ impl<T> EventWheel<T> {
     /// Each slot holds items for exactly one cycle of the horizon window,
     /// so the due cycle is recoverable from the slot index: after a drain
     /// at `cursor` the slot for offset `dt ∈ [1, horizon]` is
-    /// `(cursor + dt) % horizon`; before any drain the slot index *is*
-    /// the cycle. This is the migration primitive that lets pending
+    /// `(cursor + dt) & mask`; before any drain the slot index *is* the
+    /// cycle. Items come out in due-cycle order, and in schedule order
+    /// within a cycle. This is the migration primitive that lets pending
     /// events be re-scheduled onto a different wheel with the same
     /// cursor.
     pub fn drain_pending_into(&mut self, into: &mut Vec<(u64, T)>) {
-        let horizon = self.horizon();
         let base = self.cursor.map_or(0, |c| c + 1);
-        for dt in 0..horizon {
-            let at = base + dt;
-            let idx = (at % horizon) as usize;
+        for at in base..base + self.horizon {
+            let idx = self.slot(at);
             for item in self.slots[idx].drain(..) {
                 into.push((at, item));
             }
@@ -353,7 +358,7 @@ mod tests {
         let cap = due.capacity();
         assert!(cap >= 16);
         w.restore(4, due);
-        w.schedule(6, 1); // lands in the same slot (4 % 2 == 6 % 2)
+        w.schedule(6, 1); // lands in the same slot (4 & 1 == 6 & 1)
         let again = w.take_due(6);
         assert!(again.capacity() >= cap, "slot buffer was recycled");
     }
@@ -369,6 +374,18 @@ mod tests {
         let b = w.take_due(12);
         w.restore(12, b);
         assert_eq!(w.take_due(13), vec!["edge"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn wheel_range_is_the_exact_horizon_not_the_slot_count() {
+        // Horizon 3 rounds up to 4 slots, but a schedule 4 cycles ahead
+        // is still out of range.
+        let mut w: EventWheel<()> = EventWheel::new(3);
+        assert_eq!(w.horizon(), 3);
+        let b = w.take_due(10);
+        w.restore(10, b);
+        w.schedule(14, ());
     }
 
     #[test]

@@ -205,7 +205,10 @@ pub struct PointRecord {
     /// Distinct source→destination flows that delivered at least one
     /// tagged packet.
     pub flows: u64,
-    /// Worst flow's median latency (upper bucket bound), if measured.
+    /// Worst flow's median latency (upper bucket bound), if measured:
+    /// `None` without flows, or when the percentile is at or beyond the
+    /// per-flow latency cap (the JSONL line then says
+    /// `"flow_saturated": true`).
     pub flow_p50: Option<u64>,
     /// Worst flow's 95th-percentile latency, if measured.
     pub flow_p95: Option<u64>,

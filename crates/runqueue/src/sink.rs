@@ -163,8 +163,13 @@ impl PointRecord {
                 None => s.push_str(&format!(", \"{name}\": null")),
             }
         }
+        // Derived, not stored: some worst-flow tail is past the per-flow
+        // cap. The parser ignores it, so round trips stay exact.
+        let flow_saturated =
+            self.flows > 0 && [self.flow_p50, self.flow_p95, self.flow_p99].contains(&None);
         s.push_str(&format!(
-            ", \"unreachable_pairs\": {}, \"flows\": {}, \"node_drops\": [",
+            ", \"unreachable_pairs\": {}, \"flows\": {}, \"flow_saturated\": {flow_saturated}, \
+             \"node_drops\": [",
             self.unreachable_pairs, self.flows
         ));
         for (i, d) in self.node_drops.iter().enumerate() {
@@ -353,6 +358,10 @@ mod tests {
     fn jsonl_round_trips_exactly() {
         let rec = sample(7, 0.3);
         let line = rec.to_jsonl();
+        assert!(
+            line.contains("\"flow_saturated\": true"),
+            "flow_p99 is null"
+        );
         let back = PointRecord::from_jsonl(&line).expect("parses");
         assert_eq!(back, rec);
         // And a saturated record with a null latency.
@@ -382,6 +391,10 @@ mod tests {
             },
         ];
         let line = rec.to_jsonl();
+        assert!(
+            line.contains("\"flow_saturated\": false"),
+            "every tail measured"
+        );
         assert_eq!(line.lines().count(), 1, "nested arrays stay one line");
         assert_eq!(PointRecord::from_jsonl(&line), Some(rec));
     }
