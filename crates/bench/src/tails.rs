@@ -2,11 +2,12 @@
 //!
 //! A run's p50/p95/p99 are upper bucket bounds of a fixed-range
 //! histogram, and a saturated run overflows it: the library then reports
-//! the percentile as `None` (run level) or clamps it to the histogram cap
-//! (per flow). [`Tails`] keeps both cases visible — an overflowed or
-//! clamped percentile is `null` in the JSON, next to `"saturated": true`
-//! and the true maximum latency — so a tail never prints as `0` or as the
-//! cap passing for a measurement.
+//! the percentile as `None`. [`Tails`] keeps that visible — an overflowed
+//! percentile is `null` in the JSON, next to `"saturated": true` and the
+//! true maximum latency — so a tail never prints as `0`. The worst
+//! flow's p50/p95/p99 are exact nearest-rank latencies of the tagged
+//! sample (`FlowStats` keeps every sample), so they are always measured
+//! when the run has flows.
 
 use noc_network::RunResult;
 
@@ -29,15 +30,15 @@ pub struct Tails {
     /// Source→destination flows with tagged samples (0 without
     /// telemetry).
     pub flows: u64,
-    /// The worst flow's p50/p95/p99; `None` when clamped at the per-flow
-    /// histogram cap (the value is then only known to be at or beyond
-    /// it).
+    /// The worst flow's exact p50/p95/p99; `None` only without flows.
     pub flow_p50: Option<u64>,
     /// See [`Tails::flow_p50`].
     pub flow_p95: Option<u64>,
     /// See [`Tails::flow_p50`].
     pub flow_p99: Option<u64>,
-    /// True if a worst-flow percentile was clamped at the cap.
+    /// True if the run has flows but a worst-flow percentile is missing
+    /// (never: flow tails are exact; the flag keeps the JSON schema
+    /// uniform with the run-level tails).
     pub flow_saturated: bool,
 }
 
@@ -48,9 +49,8 @@ impl Tails {
         let pct = r.histogram.percentiles();
         let run = [pct.p50, pct.p95, pct.p99];
         let (flows, worst) = r.flow_stats.as_ref().map_or((0, [None; 3]), |f| {
-            let unclamped = |p: u64| (p < f.latency_cap()).then_some(p);
             let worst = f.worst().map_or([None; 3], |(_, _, p)| {
-                [unclamped(p.p50), unclamped(p.p95), unclamped(p.p99)]
+                [Some(p.p50), Some(p.p95), Some(p.p99)]
             });
             (f.flows(), worst)
         });
@@ -93,7 +93,7 @@ impl Tails {
     }
 
     /// A one-line human rendering of three percentiles, `a/b/c`, with
-    /// `>range` for an overflowed or clamped one.
+    /// `>range` for an overflowed one.
     #[must_use]
     pub fn render(p: [Option<u64>; 3]) -> String {
         let s: Vec<String> = p
@@ -165,6 +165,10 @@ mod tests {
         // as unknown-but-large with the exact maximum beside it.
         assert!(t.saturated && r.histogram.overflow() > 0, "{t:?}");
         assert!(t.max.is_some_and(|m| m > 0), "{t:?}");
+        // The worst flow's tails are exact even here: measured, and no
+        // larger than the largest tagged latency.
+        assert!(!t.flow_saturated, "{t:?}");
+        assert!(t.flow_p99.is_some_and(|p| Some(p) <= t.max), "{t:?}");
 
         let json = t.json_fields();
         for key in ["p50", "p95", "p99", "flow_p50", "flow_p95", "flow_p99"] {

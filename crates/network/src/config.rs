@@ -879,7 +879,7 @@ impl NetworkConfig {
 
     /// Enables epoch-streaming telemetry: every `epoch` simulated
     /// cycles the run snapshots its metrics registry, and tagged
-    /// packets feed per-flow latency percentiles
+    /// packets feed exact per-flow latency percentiles
     /// ([`crate::sim::RunResult::flow_stats`]). Results do not depend
     /// on the knob (see [`TelemetryConfig`]); with `phase_timing` also
     /// on, the run additionally collects a span trace

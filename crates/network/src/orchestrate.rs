@@ -182,13 +182,13 @@ impl PointRunner<NetworkConfig> for NetworkRunner {
         let pct = r.histogram.percentiles();
         let unreachable_pairs = r.unreachable_pairs;
         let flows = r.flow_stats.as_ref().map_or(0, |f| f.flows());
-        // A worst-flow percentile at the per-flow cap means "at or
-        // beyond the cap", not a measurement: record it as unknown.
-        let worst = r.flow_stats.as_ref().map_or([None; 3], |f| {
-            let measured = |p: u64| (p < f.latency_cap()).then_some(p);
-            f.worst()
-                .map_or([None; 3], |(_, _, p)| [p.p50, p.p95, p.p99].map(measured))
-        });
+        let worst = r
+            .flow_stats
+            .as_ref()
+            .and_then(|f| f.worst())
+            .map_or([None; 3], |(_, _, p)| {
+                [Some(p.p50), Some(p.p95), Some(p.p99)]
+            });
         // Only nodes that dropped something land in the record; node
         // order (ascending) keys the entries stably across engines.
         let node_drops = r
@@ -365,10 +365,10 @@ mod tests {
     }
 
     #[test]
-    fn saturated_worst_flow_tails_are_null_not_the_cap() {
-        // A saturated 4×4 hotspot: flows into the hot node queue far
-        // past the 1024-cycle per-flow cap, so the worst flow's tail is
-        // unknown, not 1024.
+    fn saturated_worst_flow_tails_are_exact_not_capped() {
+        // A saturated 4×4 hotspot: flows into the hot node queue for
+        // thousands of cycles, and the worst flow's tails measure that
+        // exactly, within the largest tagged latency of the run.
         let cfg = base()
             .with_pattern(TrafficPattern::Hotspot {
                 hotspot: 5,
@@ -381,8 +381,15 @@ mod tests {
             .expect("not cancelled");
         assert!(rec.saturated, "the hotspot saturates");
         assert!(rec.flows > 0, "tagged flows were attributed");
-        assert_eq!(rec.flow_p99, None, "a clamped tail is not a measurement");
-        assert!(rec.to_jsonl().contains("\"flow_saturated\": true"));
+        let tails = [rec.flow_p50, rec.flow_p95, rec.flow_p99].map(|p| p.expect("measured"));
+        assert!(tails.is_sorted(), "ordered: {tails:?}");
+        assert!(tails[0] > 1024, "beyond 1024 cycles: {tails:?}");
+        let max = Network::new(cfg.with_injection(0.6)).run().stats.max();
+        assert!(
+            max.is_some_and(|m| tails[2] <= m),
+            "within the largest tagged latency {max:?}: {tails:?}"
+        );
+        assert!(rec.to_jsonl().contains("\"flow_saturated\": false"));
     }
 
     #[test]

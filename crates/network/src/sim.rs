@@ -147,9 +147,10 @@ pub struct RunResult {
     /// Per-node drop counters by reason, indexed by node id (always
     /// populated; all-zero on a healthy network).
     pub node_drops: Vec<DropStats>,
-    /// Per-(source → dest) latency accumulators of the tagged sample,
-    /// present when [`NetworkConfig::with_telemetry`] was set.
-    /// Bit-identical across engine kinds, shard counts, and schedules.
+    /// Per-(source → dest) latencies of the tagged sample, kept exactly
+    /// (no buckets, no cap) and sorted for querying, present when
+    /// [`NetworkConfig::with_telemetry`] was set. Equal across engine
+    /// kinds, shard counts, and schedules.
     pub flow_stats: Option<FlowStats>,
     /// The retained epoch-snapshot stream, present when telemetry was
     /// on. Its counter section ([`MetricsLog::identity`]) is
@@ -373,9 +374,15 @@ impl Network {
         // One trace lane per effective shard (the partition may clamp
         // below the requested count); the serial engines use lane 0.
         let lanes = shards.as_ref().map_or(1, |s| s.ranges.len());
-        let telemetry = cfg
-            .telemetry
-            .map(|t| Box::new(TelemetryState::new(t.epoch, nodes, lanes, cfg.phase_timing)));
+        let telemetry = cfg.telemetry.map(|t| {
+            Box::new(TelemetryState::new(
+                t.epoch,
+                nodes,
+                cfg.sample_packets,
+                lanes,
+                cfg.phase_timing,
+            ))
+        });
         Ok(Network {
             cfg,
             routers,

@@ -47,11 +47,9 @@ const DROP_PACKET_NAMES: [&str; DROP_REASONS] = [
     "dropped_packets_stranded",
 ];
 
-/// Per-flow latency histogram shape: 64 buckets of 16 cycles each, so
-/// flow percentiles saturate at 1024 cycles (far beyond the saturation
-/// knee the sweeps care about).
-pub(crate) const FLOW_BUCKET_WIDTH: u64 = 16;
-pub(crate) const FLOW_BUCKETS: usize = 64;
+/// Most flow samples reserved up front (8 B each). A larger tagged
+/// sample grows the buffer by doubling past this point.
+const FLOW_RESERVE_MAX: u64 = 1 << 16;
 
 /// The four serial phase span names, matching [`PhaseNanos`] order.
 const SERIAL_PHASES: [&str; 4] = ["delivery", "sources", "router", "stats"];
@@ -142,7 +140,7 @@ pub(crate) struct TelemetryState {
     mem: MemoryTap,
     /// Optional user-supplied streaming tap (e.g. a `JsonlTap`).
     stream: Option<Box<dyn MetricsTap + Send>>,
-    /// Per-flow latency accumulators, fed from the tagged-sample tails.
+    /// Per-flow latency samples, fed from the tagged-sample tails.
     pub(crate) flows: FlowStats,
     trace: Option<TraceState>,
 }
@@ -161,10 +159,11 @@ impl fmt::Debug for TelemetryState {
 }
 
 impl TelemetryState {
-    /// Builds the full registry schema. `lanes` is the shard count (1
-    /// for the serial engines); `tracing` enables span accumulation and
-    /// should mirror `phase_timing`.
-    pub(crate) fn new(epoch: u64, nodes: usize, lanes: usize, tracing: bool) -> Self {
+    /// Builds the full registry schema. `samples` is the tagged sample
+    /// size, which sizes the flow-sample buffer; `lanes` is the shard
+    /// count (1 for the serial engines); `tracing` enables span
+    /// accumulation and should mirror `phase_timing`.
+    pub(crate) fn new(epoch: u64, nodes: usize, samples: u64, lanes: usize, tracing: bool) -> Self {
         let mut reg = MetricsRegistry::new();
         let ids = Ids {
             flits_injected: reg.counter("flits_injected"),
@@ -191,7 +190,7 @@ impl TelemetryState {
             ids,
             mem: MemoryTap::default(),
             stream: None,
-            flows: FlowStats::new(nodes, FLOW_BUCKET_WIDTH, FLOW_BUCKETS),
+            flows: FlowStats::new(nodes, samples.min(FLOW_RESERVE_MAX) as usize),
             trace: tracing.then(|| TraceState {
                 log: TraceLog::new(lanes),
                 cum: vec![[0; 4]; lanes],
@@ -303,9 +302,10 @@ impl TelemetryState {
     }
 
     /// Tears the state down into its result artifacts: the retained
-    /// snapshot log, the per-flow table, and the span log (when
-    /// tracing was on).
-    pub(crate) fn into_parts(self) -> (MetricsLog, FlowStats, Option<TraceLog>) {
+    /// snapshot log, the per-flow samples (sorted, ready to query), and
+    /// the span log (when tracing was on).
+    pub(crate) fn into_parts(mut self) -> (MetricsLog, FlowStats, Option<TraceLog>) {
+        self.flows.finish();
         (self.mem.log, self.flows, self.trace.map(|t| t.log))
     }
 }
@@ -330,7 +330,7 @@ mod tests {
 
     #[test]
     fn emit_advances_the_boundary_and_records_both_sections() {
-        let mut t = TelemetryState::new(64, 4, 1, false);
+        let mut t = TelemetryState::new(64, 4, 100, 1, false);
         assert_eq!(t.next, 64);
         t.count_injected();
         t.count_drop(DropReason::Lossy, true);
@@ -365,7 +365,7 @@ mod tests {
 
     #[test]
     fn shard_absorption_resets_the_out_and_feeds_lanes() {
-        let mut t = TelemetryState::new(32, 4, 2, true);
+        let mut t = TelemetryState::new(32, 4, 100, 2, true);
         let mut out = ShardOut {
             injected: 3,
             ticks: 10,

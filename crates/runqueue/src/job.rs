@@ -205,10 +205,9 @@ pub struct PointRecord {
     /// Distinct source→destination flows that delivered at least one
     /// tagged packet.
     pub flows: u64,
-    /// Worst flow's median latency (upper bucket bound), if measured:
-    /// `None` without flows, or when the percentile is at or beyond the
-    /// per-flow latency cap (the JSONL line then says
-    /// `"flow_saturated": true`).
+    /// Worst flow's median latency, if measured: `None` without flows
+    /// (the JSONL line says `"flow_saturated": true` if a runner leaves
+    /// it `None` although flows were measured).
     pub flow_p50: Option<u64>,
     /// Worst flow's 95th-percentile latency, if measured.
     pub flow_p95: Option<u64>,

@@ -163,8 +163,9 @@ impl PointRecord {
                 None => s.push_str(&format!(", \"{name}\": null")),
             }
         }
-        // Derived, not stored: some worst-flow tail is past the per-flow
-        // cap. The parser ignores it, so round trips stay exact.
+        // Derived, not stored: flows were measured but some worst-flow
+        // tail is unknown. The parser ignores it, so round trips stay
+        // exact.
         let flow_saturated =
             self.flows > 0 && [self.flow_p50, self.flow_p95, self.flow_p99].contains(&None);
         s.push_str(&format!(
@@ -230,8 +231,21 @@ impl PointRecord {
     }
 }
 
+/// `s` as the body of a JSON string: quotes and backslashes
+/// backslash-escaped, control characters as `\uXXXX`.
 fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => {
+                out.push('\\');
+                out.push(c);
+            }
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 fn field_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
@@ -311,14 +325,30 @@ fn parse_u64_array(body: &str) -> Option<Vec<u64>> {
     body.split(',').map(|t| t.trim().parse().ok()).collect()
 }
 
+/// The string value of `key` with the escapes [`escape`] writes undone;
+/// `None` if it is unterminated or holds any other escape.
 fn field_str(line: &str, key: &str) -> Option<String> {
-    let raw = {
-        let start = line.find(key)? + key.len();
-        line[start..].trim_start()
-    };
-    let inner = raw.strip_prefix('"')?;
-    let end = inner.find('"')?;
-    Some(inner[..end].to_string())
+    let start = line.find(key)? + key.len();
+    let mut chars = line[start..].trim_start().strip_prefix('"')?.chars();
+    let mut out = String::new();
+    loop {
+        let c = match chars.next()? {
+            '"' => return Some(out),
+            '\\' => match chars.next()? {
+                c @ ('"' | '\\') => c,
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).collect();
+                    if hex.len() != 4 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                        return None;
+                    }
+                    char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?
+                }
+                _ => return None,
+            },
+            c => c,
+        };
+        out.push(c);
+    }
 }
 
 #[cfg(test)]
@@ -490,13 +520,21 @@ mod tests {
 
     #[test]
     fn job_names_with_quotes_stay_one_line() {
-        let mut rec = sample(9, 0.4);
-        rec.job = "we\"ird".into();
-        let line = rec.to_jsonl();
-        assert_eq!(line.lines().count(), 1);
-        // The parse recovers *a* name (escaping is one-way by design);
-        // the key — what resume relies on — survives exactly.
-        let back = PointRecord::from_jsonl(&line).expect("parses");
-        assert_eq!(back.key, rec.key);
+        for job in [
+            "we\"ird",
+            "back\\slash",
+            "with \"quote\"",
+            "new\nline",
+            "\"seed\": 1, \\",
+        ] {
+            let mut rec = sample(9, 0.4);
+            rec.job = job.into();
+            let line = rec.to_jsonl();
+            assert_eq!(line.lines().count(), 1);
+            // The name round-trips exactly, escapes undone.
+            assert_eq!(PointRecord::from_jsonl(&line), Some(rec), "{job}");
+        }
+        let line = sample(9, 0.4).to_jsonl().replace("\"smoke\"", "\"bad\\q\"");
+        assert_eq!(PointRecord::from_jsonl(&line), None, "unknown escape");
     }
 }

@@ -7,8 +7,9 @@
 //!   engine snapshots at deterministic epoch boundaries into a
 //!   [`MetricsTap`] ([`MemoryTap`] retains the stream in memory,
 //!   [`JsonlTap`] streams one JSON object per snapshot);
-//! - [`FlowStats`]: slot-indexed, allocation-free per-(source → dest)
-//!   latency accumulators with p50/p95/p99 queries;
+//! - [`FlowStats`]: the exact per-(source → dest) latencies of a tagged
+//!   sample, 8 bytes per sample, with exact nearest-rank p50/p95/p99
+//!   queries;
 //! - a [`TraceLog`] of phase spans exportable as Chrome trace-event /
 //!   Perfetto JSON (see [`TraceLog::write_chrome_trace`]).
 //!
