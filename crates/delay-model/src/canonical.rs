@@ -130,8 +130,7 @@ mod tests {
     /// Paper §4: with Rp→ (the most general range possible for a
     /// deterministic router) a VC router keeps 4 stages up to 8 VCs at
     /// p = 5. (At p = 7, v = 8 our reconstructed Rp coefficients overflow
-    /// the cycle by 2.5 τ — within the model's ±2 τ4 validation band; see
-    /// EXPERIMENTS.md.)
+    /// the cycle by 2.5 τ — within the model's ±2 τ4 validation band.)
     #[test]
     fn vc_router_four_stages_up_to_8_vcs_with_rp() {
         for v in [2u32, 4, 8] {

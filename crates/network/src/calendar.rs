@@ -82,9 +82,8 @@ impl LinkTable {
     }
 }
 
-/// Every flit and credit in flight towards one set of consumers: the
-/// whole network under the serial engines, one shard's nodes under the
-/// sharded engine.
+/// Every flit and credit in flight towards one shard's nodes (the whole
+/// network under the one-shard engines).
 #[derive(Debug)]
 pub(crate) struct Calendar {
     pub flits: EventWheel<FlitArrival>,

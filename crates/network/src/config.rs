@@ -101,7 +101,8 @@ impl fmt::Display for RouterKind {
 
 /// Which simulation engine advances the network.
 ///
-/// All engines produce **bit-identical** results — the event-driven
+/// All three are one engine core (see [`crate::shard`]) in different
+/// modes, and all produce **bit-identical** results — the event-driven
 /// engine only skips work that is provably a no-op (quiescent routers,
 /// channels with nothing due), and the sharded-parallel engine only
 /// reorders operations that provably commute, replaying every
@@ -112,25 +113,26 @@ impl fmt::Display for RouterKind {
 /// asserts identical measurements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// Tick every router every cycle (the reference engine; simple,
-    /// obviously correct, O(nodes) per cycle regardless of load).
+    /// One shard that ticks every router every cycle and never
+    /// fast-forwards (the reference engine: O(nodes) per cycle
+    /// regardless of load).
     CycleDriven,
-    /// Tick only routers with work pending, waking them on flit delivery
-    /// (the default: at the low loads that dominate a latency–throughput
+    /// One shard that ticks only routers with work pending, waking them
+    /// on flit delivery, and fast-forwards through quiescence (the
+    /// default: at the low loads that dominate a latency–throughput
     /// sweep, most routers are idle in most cycles).
     #[default]
     EventDriven,
     /// Partition the mesh into contiguous shards and run lockstep rounds
-    /// of **one** gate-barrier episode each: while the workers are
+    /// of **one** gate episode each: while the workers are
     /// parked at the gate, the coordinator commits measurement state in
     /// fixed node order and decides whether globally quiescent cycles
     /// can be fast-forwarded (every shard votes its earliest future
     /// work); the released round then runs delivery, sources, and router
     /// ticks as one fused parallel phase, exchanging boundary
     /// flits/credits through preallocated per-shard-pair mailboxes
-    /// stamped at emission time. Results are bit-identical to the serial
-    /// engines for any shard count, thread schedule, and
-    /// [`BarrierKind`] (see [`crate::shard`]).
+    /// stamped at emission time. Results are bit-identical to the
+    /// one-shard engines for any shard count and thread schedule.
     ParallelShards {
         /// Worker shards (≥ 1; clamped to the node count). Each shard
         /// runs on its own thread during [`crate::sim::Network::run`].
@@ -146,7 +148,7 @@ impl EngineKind {
     }
 
     /// How many threads one simulation run occupies under this engine
-    /// (1 for the serial engines).
+    /// (1 for the one-shard engines).
     #[must_use]
     pub fn threads_per_run(&self) -> usize {
         match *self {
@@ -162,35 +164,6 @@ impl fmt::Display for EngineKind {
             EngineKind::CycleDriven => write!(f, "cycle-driven"),
             EngineKind::EventDriven => write!(f, "event-driven"),
             EngineKind::ParallelShards { shards } => write!(f, "parallel-shards({shards})"),
-        }
-    }
-}
-
-/// Which barrier implementation synchronizes the sharded-parallel
-/// engine's per-cycle gate. Purely a performance knob: results are
-/// bit-identical for either kind (enforced by
-/// `tests/engine_equivalence.rs`), so it is excluded from
-/// [`crate::orchestrate`]'s config hash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BarrierKind {
-    /// A single shared arrival counter with sense reversal. O(parties)
-    /// contention on one cache line per episode; fastest at small shard
-    /// counts.
-    #[default]
-    Spin,
-    /// A sense-reversing combining tree: each party spins on its own
-    /// flag and arrivals propagate up a binary tree, so no cache line is
-    /// contended by more than a constant number of parties. Wins when
-    /// shard counts grow past the point where the shared counter
-    /// serializes.
-    Tree,
-}
-
-impl fmt::Display for BarrierKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BarrierKind::Spin => write!(f, "spin"),
-            BarrierKind::Tree => write!(f, "tree"),
         }
     }
 }
@@ -442,7 +415,8 @@ impl std::error::Error for ConfigError {}
 /// exceeds `threshold`, the partition is re-cut along weighted row seams
 /// and in-flight state migrates to the new owners. All inputs are pure
 /// functions of simulation state, so results stay bit-identical to the
-/// serial engines — the knob trades wall-clock, never correctness.
+/// one-shard engines, which ignore the knob — it trades wall-clock,
+/// never correctness.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalanceConfig {
     /// Decision window in executed cycles (≥ 1). Executed cycles — not
@@ -461,7 +435,7 @@ pub struct RebalanceConfig {
 /// samples as they complete. All counter inputs are pure functions of
 /// simulation state and snapshots are assembled in fixed shard order,
 /// so the counter stream is bit-identical across engine kinds, shard
-/// counts, thread schedules, and barrier kinds — and the knob itself
+/// counts, and thread schedules — and the knob itself
 /// never changes simulation results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
@@ -673,13 +647,9 @@ pub struct NetworkConfig {
     pub mesh: Mesh,
     /// Routing algorithm.
     pub routing: RoutingAlgo,
-    /// Simulation engine (cycle-driven reference or the event-driven
-    /// active-set engine; results are identical).
+    /// Simulation engine (cycle-driven reference, event-driven, or
+    /// sharded-parallel; results are identical).
     pub engine: EngineKind,
-    /// Barrier implementation for the sharded-parallel engine's
-    /// per-cycle gate (ignored by the serial engines; results are
-    /// identical for either kind).
-    pub barrier: BarrierKind,
     /// Router microarchitecture.
     pub router: RouterKind,
     /// Use single-cycle ("unit latency") routers instead of the pipelined
@@ -718,7 +688,7 @@ pub struct NetworkConfig {
     /// [`crate::sim::RunResult::cancelled`]); `None` costs nothing.
     pub cancel: Option<CancelToken>,
     /// Work-metered dynamic shard rebalancing for the sharded-parallel
-    /// engine (ignored by the serial engines; results are identical
+    /// engine (ignored by the one-shard engines; results are identical
     /// either way). `None` (the default) keeps the static row-seam
     /// partition.
     pub rebalance: Option<RebalanceConfig>,
@@ -754,7 +724,6 @@ impl NetworkConfig {
             mesh,
             routing: RoutingAlgo::DimensionOrdered,
             engine: EngineKind::default(),
-            barrier: BarrierKind::default(),
             router,
             single_cycle: false,
             link_delay: 1,
@@ -831,15 +800,6 @@ impl NetworkConfig {
     #[must_use]
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Selects the barrier implementation for the sharded-parallel
-    /// engine's per-cycle gate. Results do not depend on the choice (see
-    /// [`BarrierKind`]); synchronization cost does.
-    #[must_use]
-    pub fn with_barrier(mut self, barrier: BarrierKind) -> Self {
-        self.barrier = barrier;
         self
     }
 
@@ -1577,16 +1537,6 @@ mod tests {
             .validate(),
             Ok(())
         );
-    }
-
-    #[test]
-    fn barrier_kind_defaults_to_spin_and_builds() {
-        let cfg = NetworkConfig::mesh(4, RouterKind::Wormhole { buffers: 8 });
-        assert_eq!(cfg.barrier, BarrierKind::Spin);
-        let cfg = cfg.with_barrier(BarrierKind::Tree);
-        assert_eq!(cfg.barrier, BarrierKind::Tree);
-        assert_eq!(BarrierKind::Spin.to_string(), "spin");
-        assert_eq!(BarrierKind::Tree.to_string(), "tree");
     }
 
     #[test]

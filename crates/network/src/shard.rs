@@ -1,48 +1,54 @@
-//! Deterministic sharded-parallel execution of the network simulator.
+//! The simulator's one engine core: deterministic lockstep execution of
+//! the network over contiguous shards of its nodes.
 //!
-//! The [`crate::config::EngineKind::ParallelShards`] engine partitions the
-//! mesh's routers into contiguous per-thread shards
-//! ([`crate::topology::Mesh::shard_ranges`]) and executes the simulation
-//! in lockstep rounds whose results are **bit-identical** to the serial
-//! engines for any shard count and any thread schedule. Each round is one
-//! *gate* barrier episode followed by one fused compute phase:
+//! Every [`crate::config::EngineKind`] runs here. The sharded-parallel
+//! engine partitions the mesh's routers into contiguous per-thread
+//! shards ([`crate::topology::Mesh::shard_ranges`]); the event-driven
+//! and cycle-driven engines are the same core with one shard, which
+//! spawns no thread and whose one-party gate returns at once. The
+//! cycle-driven engine also ticks every router, active or not, and is
+//! never granted a fast-forward: it is the reference against which
+//! `tests/engine_equivalence.rs` checks the active set and the
+//! quiescence vote. Results are **bit-identical** for every engine, any
+//! shard count, and any thread schedule. Each round is one *gate*
+//! episode followed by one fused compute phase:
 //!
 //! 1. **Gate** — workers arrive and block; the coordinator waits for
 //!    them, then runs the serial section alone: it commits the previous
 //!    cycle's measurement records **in fixed node order** (sample
 //!    tagging, then the floating-point latency / histogram /
 //!    channel-load accumulators — the only order-sensitive state, which
-//!    never leaves this section), evaluates the stop condition, and
-//!    decides whether the next cycles can be **fast-forwarded**: every
-//!    shard votes (via a `fetch_min` register) the earliest future cycle
-//!    at which it has any work — messages due on its calendar, staged
-//!    boundary mail, active routers, or a source about to cross its
-//!    injection threshold — and when the minimum lies beyond the next
-//!    cycle, the skipped cycles are provably no-ops for *every* shard
-//!    and are elided exactly the way the serial event engine elides
-//!    quiescent-router ticks. The gate is either a central
-//!    sense-reversing spin barrier or a sense-reversing combining tree
-//!    ([`crate::config::BarrierKind`]); both spin briefly then yield.
+//!    never leaves this section), emits the telemetry snapshot at an
+//!    epoch boundary, evaluates the stop condition, and decides whether
+//!    the next cycles can be **fast-forwarded**: every shard votes (via
+//!    a `fetch_min` register) the earliest future cycle at which it has
+//!    any work — messages due on its calendar, staged boundary mail,
+//!    active routers, or a source about to cross its injection
+//!    threshold — and when the minimum lies beyond the next cycle, the
+//!    skipped cycles are provably no-ops for *every* shard and execute
+//!    nothing. The gate is a central sense-reversing counter whose
+//!    waiters spin briefly, then yield.
 //! 2. **Fused compute** (parallel, no internal barrier) — each shard
-//!    owns the delivery [`Calendar`] of its nodes: every flit and credit
-//!    whose consumer is one of them. It schedules the boundary flits and
-//!    credits other shards published *last* round onto that calendar at
-//!    their due cycles, takes the flits and then the credits due this
-//!    cycle, steps its sources in node order, and ticks its active
-//!    routers in node order. A departure or credit whose consumer lives
-//!    in another shard is staged in a per-shard-pair mailbox **at
-//!    emission time**, tagged with its due cycle — at least one cycle
-//!    away, since every link has ≥ 1 cycle of latency — so the receiver
-//!    can schedule it a full round later without any mid-cycle exchange
-//!    barrier. Tail ejections, channel-load events, and created packet
-//!    ids are recorded per shard in node order for the next gate's
-//!    serial commit.
+//!    owns the delivery calendar (`calendar.rs`) of its nodes:
+//!    every flit and credit whose consumer is one of them. It schedules
+//!    the boundary flits and credits other shards published *last*
+//!    round onto that calendar at their due cycles, takes the flits and
+//!    then the credits due this cycle, steps its sources in node order,
+//!    and ticks its active routers in node order. A departure or credit
+//!    whose consumer lives in another shard is staged in a
+//!    per-shard-pair mailbox **at emission time**, tagged with its due
+//!    cycle — at least one cycle away, since every link has ≥ 1 cycle of
+//!    latency — so the receiver can schedule it a full round later
+//!    without any mid-cycle exchange barrier. Tail ejections,
+//!    channel-load events, and created packet ids are recorded per shard
+//!    in node order for the next gate's serial commit.
 //!
 //! Why this is bit-identical: every message is delivered at the cycle
-//! the serial engines deliver it (the staged due cycle *is* the serial
-//! delivery cycle), and within one cycle deliveries commute (each
-//! touches one input buffer or one credit counter — the same argument
-//! the event engine rests on). Sources interact with nothing but their
+//! it was stamped with at emission, whichever shard owns its consumer,
+//! and within one cycle deliveries commute (each touches one input
+//! buffer or one credit counter). A quiescent router's tick changes no
+//! state (arbiter priorities move only on grants), so skipping it — the
+//! active set — changes nothing. Sources interact with nothing but their
 //! own state and their own injection channel, and routers only interact
 //! through links with ≥ 1 cycle of latency. Fast-forwarded cycles are
 //! cycles in which no shard would deliver, inject, or tick anything —
@@ -69,7 +75,7 @@
 //! identical for every partition and thread schedule), folded into a
 //! per-node EWMA at the end of every `epoch` *executed* cycles. Each
 //! shard folds its own slice and publishes its shard total through
-//! [`Lockstep::shard_work`]; at the next gate the leader reads the
+//! the lockstep's `shard_work` registers; at the next gate the leader reads the
 //! totals and, when `work_max / work_mean` exceeds the configured
 //! threshold, recuts the partition along the EWMA curve
 //! ([`crate::topology::Mesh::weighted_shard_ranges_into`] — still
@@ -83,10 +89,11 @@
 //! lockstep), and the cut computation are all deterministic, the
 //! partition *sequence* is deterministic — and since no partition choice
 //! ever affects results (the serial commit owns all order-sensitive
-//! state), rebalanced runs stay bit-identical to the serial engines.
+//! state), rebalanced runs stay bit-identical to the one-shard engines,
+//! which ignore the knob.
 
 use crate::calendar::{Calendar, CreditArrival, FlitArrival, LinkTable};
-use crate::config::{BarrierKind, RebalanceConfig};
+use crate::config::RebalanceConfig;
 use crate::fault::{clip, ClipSlot, DropReason, DropStats, FaultModel};
 use crate::routing::RouteTable;
 use crate::sim::NodeOracle;
@@ -97,13 +104,14 @@ use crate::traffic::TrafficPattern;
 use router_core::{Flit, PacketId, Router, TickOutput};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::Instant;
 
 /// Cap on how far ahead one quiescence vote scans a source's injection
 /// accumulator ([`Source::quiet_horizon`]). Bounds the per-vote cost on
 /// near-zero-rate sources; a longer quiet stretch is simply covered by
 /// several consecutive fast-forwards, each re-voted after one executed
 /// cycle.
-pub(crate) const SRC_SCAN_CAP: u64 = 4096;
+const SRC_SCAN_CAP: u64 = 4096;
 
 /// Work-meter weight of one router tick relative to one flit delivery
 /// or departure. A tick runs route computation, VC and switch
@@ -144,13 +152,14 @@ fn spin_or_yield(spins: &mut u32) {
     }
 }
 
-/// A reusable leader-gate built on a central sense-reversing counter.
+/// The per-cycle leader gate: a reusable barrier built on a central
+/// sense-reversing counter.
 ///
-/// The protocol is asymmetric: workers [`SpinBarrier::arrive`] and
-/// block; the leader [`SpinBarrier::wait_followers`], runs its serial
-/// section while everyone is parked, then [`SpinBarrier::release`]s.
-/// One episode per simulated cycle replaces the previous engine's three
-/// symmetric barrier waits.
+/// The protocol is asymmetric: workers [`Gate::arrive`] and block; the
+/// leader [`Gate::wait_followers`], runs its serial section while
+/// everyone is parked, then [`Gate::release`]s. With one party (the
+/// one-shard engines) there is nobody to wait for and every call
+/// returns at once.
 ///
 /// `std::sync::Barrier` parks threads on a futex; at the microsecond
 /// cycle times of this simulator the wake-up latency would dominate the
@@ -160,17 +169,17 @@ fn spin_or_yield(spins: &mut u32) {
 /// from a drop guard, and every waiter converts the poison into its own
 /// panic instead of deadlocking the lockstep.
 #[derive(Debug)]
-pub(crate) struct SpinBarrier {
+pub(crate) struct Gate {
     parties: usize,
     arrived: AtomicUsize,
     generation: AtomicUsize,
     poisoned: AtomicBool,
 }
 
-impl SpinBarrier {
+impl Gate {
     pub(crate) fn new(parties: usize) -> Self {
         assert!(parties >= 1, "a gate needs at least one party");
-        SpinBarrier {
+        Gate {
             parties,
             arrived: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
@@ -178,7 +187,8 @@ impl SpinBarrier {
         }
     }
 
-    fn poison(&self) {
+    /// Marks the gate dead; every current and future waiter panics.
+    pub(crate) fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
     }
 
@@ -188,7 +198,7 @@ impl SpinBarrier {
 
     /// Worker side: signals arrival and blocks until the leader releases
     /// this episode.
-    fn arrive(&self) {
+    pub(crate) fn arrive(&self) {
         self.check_poison();
         let generation = self.generation.load(Ordering::Acquire);
         self.arrived.fetch_add(1, Ordering::AcqRel);
@@ -200,7 +210,7 @@ impl SpinBarrier {
     }
 
     /// Leader side: blocks until every worker has arrived (and parked).
-    fn wait_followers(&self) {
+    pub(crate) fn wait_followers(&self) {
         let mut spins = 0u32;
         while self.arrived.load(Ordering::Acquire) != self.parties - 1 {
             self.check_poison();
@@ -210,143 +220,9 @@ impl SpinBarrier {
 
     /// Leader side: opens the gate. Everything the leader wrote in its
     /// serial section happens-before the workers' post-arrive reads.
-    fn release(&self) {
+    pub(crate) fn release(&self) {
         self.arrived.store(0, Ordering::Release);
         self.generation.fetch_add(1, Ordering::AcqRel);
-    }
-}
-
-/// A leader-gate built on a sense-reversing combining tree: arrivals
-/// propagate up a binary tree of per-party flags (parent of `i` is
-/// `(i − 1) / 2`; the leader, party 0, is the root), so no cache line is
-/// written by more than a constant number of parties per episode —
-/// unlike the central counter, whose single line every party contends
-/// on. Release is a single sense flag every parked worker reads.
-#[derive(Debug)]
-pub(crate) struct TreeBarrier {
-    parties: usize,
-    /// `ready[i]` is set by party `i ≥ 1` once its whole subtree has
-    /// arrived this episode; sense-encoded, so it never needs resetting.
-    ready: Vec<AtomicBool>,
-    /// Per-party local sense; `sense[i]` is written only by party `i`.
-    sense: Vec<AtomicBool>,
-    /// Global release flag, flipped to the episode's sense by the leader.
-    release: AtomicBool,
-    poisoned: AtomicBool,
-}
-
-impl TreeBarrier {
-    pub(crate) fn new(parties: usize) -> Self {
-        assert!(parties >= 1, "a gate needs at least one party");
-        TreeBarrier {
-            parties,
-            ready: (0..parties).map(|_| AtomicBool::new(false)).collect(),
-            sense: (0..parties).map(|_| AtomicBool::new(false)).collect(),
-            release: AtomicBool::new(false),
-            poisoned: AtomicBool::new(false),
-        }
-    }
-
-    fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
-    }
-
-    fn check_poison(&self) {
-        assert!(!self.poisoned.load(Ordering::Acquire), "{SIBLING_PANIC}");
-    }
-
-    /// Waits until both children of `party` (if any) have posted this
-    /// episode's sense.
-    fn gather_children(&self, party: usize, episode_sense: bool) {
-        for child in [2 * party + 1, 2 * party + 2] {
-            if child >= self.parties {
-                break;
-            }
-            let mut spins = 0u32;
-            while self.ready[child].load(Ordering::Acquire) != episode_sense {
-                self.check_poison();
-                spin_or_yield(&mut spins);
-            }
-        }
-    }
-
-    /// Worker side (`party ≥ 1`): combines its subtree's arrival up the
-    /// tree, then blocks on the release flag.
-    fn arrive(&self, party: usize) {
-        self.check_poison();
-        let s = !self.sense[party].load(Ordering::Relaxed);
-        self.gather_children(party, s);
-        self.ready[party].store(s, Ordering::Release);
-        let mut spins = 0u32;
-        while self.release.load(Ordering::Acquire) != s {
-            self.check_poison();
-            spin_or_yield(&mut spins);
-        }
-        self.sense[party].store(s, Ordering::Relaxed);
-    }
-
-    /// Leader side: blocks until the root's children report their
-    /// subtrees complete — i.e. every worker has arrived.
-    fn wait_followers(&self) {
-        let s = !self.sense[0].load(Ordering::Relaxed);
-        self.gather_children(0, s);
-    }
-
-    /// Leader side: opens the gate by flipping the release sense.
-    fn release(&self) {
-        let s = !self.sense[0].load(Ordering::Relaxed);
-        self.sense[0].store(s, Ordering::Relaxed);
-        self.release.store(s, Ordering::Release);
-    }
-}
-
-/// The per-cycle gate, behind one interface so
-/// [`crate::config::BarrierKind`] can swap implementations without the
-/// engine caring.
-#[derive(Debug)]
-pub(crate) enum Gate {
-    Spin(SpinBarrier),
-    Tree(TreeBarrier),
-}
-
-impl Gate {
-    pub(crate) fn new(kind: BarrierKind, parties: usize) -> Self {
-        match kind {
-            BarrierKind::Spin => Gate::Spin(SpinBarrier::new(parties)),
-            BarrierKind::Tree => Gate::Tree(TreeBarrier::new(parties)),
-        }
-    }
-
-    /// Marks the gate dead; every current and future waiter panics.
-    pub(crate) fn poison(&self) {
-        match self {
-            Gate::Spin(b) => b.poison(),
-            Gate::Tree(b) => b.poison(),
-        }
-    }
-
-    /// Worker side: arrive and block until released.
-    pub(crate) fn arrive(&self, party: usize) {
-        match self {
-            Gate::Spin(b) => b.arrive(),
-            Gate::Tree(b) => b.arrive(party),
-        }
-    }
-
-    /// Leader side: block until all workers are parked at the gate.
-    pub(crate) fn wait_followers(&self) {
-        match self {
-            Gate::Spin(b) => b.wait_followers(),
-            Gate::Tree(b) => b.wait_followers(),
-        }
-    }
-
-    /// Leader side: open the gate.
-    pub(crate) fn release(&self) {
-        match self {
-            Gate::Spin(b) => b.release(),
-            Gate::Tree(b) => b.release(),
-        }
     }
 }
 
@@ -387,9 +263,9 @@ pub(crate) struct Lockstep {
 }
 
 impl Lockstep {
-    pub(crate) fn new(kind: BarrierKind, parties: usize, start: u64) -> Self {
+    pub(crate) fn new(parties: usize, start: u64) -> Self {
         Lockstep {
-            gate: Gate::new(kind, parties),
+            gate: Gate::new(parties),
             stop: AtomicBool::new(false),
             skip_to: AtomicU64::new(start),
             next_work: AtomicU64::new(u64::MAX),
@@ -404,8 +280,8 @@ impl Lockstep {
     }
 }
 
-/// A message crossing a shard boundary: its due cycle — the cycle the
-/// serial engines deliver it — and its addressed payload.
+/// A message crossing a shard boundary: its due cycle, stamped at
+/// emission, and its addressed payload.
 pub(crate) type Mail<T> = (u64, T);
 
 /// Preallocated per-shard-pair mailboxes. Slot `(from, to)` is written
@@ -475,7 +351,7 @@ impl Mailboxes {
 /// What one shard reports to the serial commit each cycle. Every vector
 /// is filled in node order during the parallel phases and drained by the
 /// coordinating thread, so concatenating the shards in index order
-/// replays the serial engine's exact event sequence.
+/// replays the network's event sequence in node order.
 #[derive(Debug, Default)]
 pub(crate) struct ShardOut {
     /// Packets created this cycle, in node order.
@@ -502,6 +378,9 @@ pub(crate) struct ShardOut {
     /// Per-reason drop deltas this cycle, absorbed by the telemetry
     /// registry at the serial commit (in fixed shard order).
     pub drop_stats: DropStats,
+    /// Flits and credits on this shard's calendar after its last tick
+    /// (a level, not a delta: the telemetry `wheel_pending` gauge).
+    pub wheel_pending: u64,
     /// Wall-clock nanoseconds this cycle spent in the fused phases
     /// `[delivery, sources, router]` — stamped only when tracing is on.
     pub span_nanos: [u64; 3],
@@ -557,8 +436,8 @@ impl ShardAux {
     }
 }
 
-/// The full sharded-engine state owned by a `Network` (present only when
-/// the engine is `ParallelShards`).
+/// The engine state a `Network` owns: the partition, the per-shard
+/// calendars and mailboxes, and the rebalancer.
 #[derive(Debug)]
 pub(crate) struct ShardSet {
     /// Contiguous `[lo, hi)` node range per shard.
@@ -571,11 +450,16 @@ pub(crate) struct ShardSet {
     pub mail: Mailboxes,
     /// Per-shard commit records.
     pub outs: Vec<Mutex<ShardOut>>,
+    /// The rebalance knob in force: the configured one under the
+    /// sharded engine, `None` under the one-shard engines, which ignore
+    /// it.
+    pub rebalance: Option<RebalanceConfig>,
     /// Per-node work accrued this epoch (node-indexed, so it survives
     /// migration untouched; each shard writes only its own slice).
+    /// Empty when rebalancing is off.
     pub work_epoch: Vec<u64>,
     /// Per-node work EWMA across epochs — the weight vector the cuts
-    /// are computed from.
+    /// are computed from. Empty when rebalancing is off.
     pub work_ewma: Vec<u64>,
     /// Decision state and preallocated migration scratch.
     pub rebal: RebalanceState,
@@ -600,9 +484,9 @@ pub(crate) struct RebalanceState {
     /// Every credit in flight (calendars and mail), with its due cycle.
     credits: Vec<Mail<CreditArrival>>,
     /// Row prefix-sum scratch for the weighted cut.
-    pub(crate) prefix: Vec<u128>,
+    prefix: Vec<u128>,
     /// The candidate partition the cut computes into.
-    pub(crate) new_ranges: Vec<(usize, usize)>,
+    new_ranges: Vec<(usize, usize)>,
 }
 
 impl RebalanceState {
@@ -658,7 +542,7 @@ impl RebalanceState {
     /// new cuts may need refinement soon); a no-op decision — the
     /// weighted cut reproduced the current partition — doubles it, so a
     /// steady already-balanced imbalance stops respawning the pool.
-    pub(crate) fn after_decision(&mut self, migrated: bool, executed: u64, epoch: u64) {
+    fn after_decision(&mut self, migrated: bool, executed: u64, epoch: u64) {
         if migrated {
             self.stride = 1;
         } else {
@@ -683,16 +567,52 @@ impl ShardSet {
                 *slot = i as u32;
             }
         }
+        let meters = if rebalance.is_some() { mesh.nodes() } else { 0 };
         ShardSet {
             ranges,
             node_shard,
             aux: (0..s).map(|_| ShardAux::new(s, horizon)).collect(),
             mail: Mailboxes::new(s),
             outs: (0..s).map(|_| Mutex::new(ShardOut::default())).collect(),
-            work_epoch: vec![0; mesh.nodes()],
-            work_ewma: vec![0; mesh.nodes()],
+            rebalance,
+            work_epoch: vec![0; meters],
+            work_ewma: vec![0; meters],
             rebal: RebalanceState::new(rebalance.is_some(), s, mesh, horizon),
         }
+    }
+
+    /// This shard's `[lo, hi)` slice of a per-node work meter, or the
+    /// empty meter when rebalancing is off.
+    pub(crate) fn meter(meter: &mut [u64], lo: usize, hi: usize) -> &mut [u64] {
+        if meter.is_empty() {
+            meter
+        } else {
+            &mut meter[lo..hi]
+        }
+    }
+
+    /// The rebalance decision once an epoch has metered above the
+    /// threshold after `executed` cycles: recuts the partition along the
+    /// per-node work EWMAs and migrates when the cut moved, then applies
+    /// the decision backoff. Runs with no shard view alive (the threaded
+    /// run ends its worker-pool era first: migration needs the whole
+    /// flat state the workers' views borrow).
+    pub(crate) fn recut(&mut self, mesh: &Mesh, phases: &mut PhaseNanos, executed: u64) {
+        let rb = self
+            .rebalance
+            .expect("rebalance decision requires the knob");
+        let ok = mesh.weighted_shard_ranges_into(
+            &self.work_ewma,
+            self.ranges.len(),
+            &mut self.rebal.prefix,
+            &mut self.rebal.new_ranges,
+        );
+        let migrated = ok && self.rebal.new_ranges != self.ranges;
+        if migrated {
+            phases.migrated_nodes += self.migrate();
+            phases.rebalances += 1;
+        }
+        self.rebal.after_decision(migrated, executed, rb.epoch);
     }
 
     /// Router ticks executed across all shards.
@@ -718,7 +638,7 @@ impl ShardSet {
     /// Each message is addressed to its consumer, so re-homing is one
     /// lookup of the consumer's owner. Returns how many nodes changed
     /// owner.
-    pub(crate) fn migrate(&mut self) -> u64 {
+    fn migrate(&mut self) -> u64 {
         let rebal = &mut self.rebal;
         debug_assert_eq!(rebal.new_ranges.len(), self.ranges.len());
         // 1. Strip every calendar and mailbox into the scratch, due
@@ -781,6 +701,9 @@ pub(crate) struct ShardEnv<'a> {
     /// timing): shards stamp wall-clock phase durations into their
     /// `ShardOut` each cycle.
     pub trace: bool,
+    /// The cycle-driven reference: tick every router, active or not
+    /// (derived from the configured engine kind).
+    pub tick_all: bool,
 }
 
 /// One shard's disjoint mutable view of the network: slices of the flat
@@ -816,8 +739,8 @@ impl ShardCtx<'_> {
     /// last round onto this shard's calendar, at the due cycle each
     /// message was stamped with at emission; then delivers the flits,
     /// and then the credits, the calendar has due at `now`. Mirrors the
-    /// serial engines' delivery phase.
-    pub(crate) fn phase_deliver(&mut self, env: &ShardEnv<'_>, now: u64) {
+    /// delivery phase of the cycle.
+    fn phase_deliver(&mut self, env: &ShardEnv<'_>, now: u64) {
         for from in 0..env.mail.shards() {
             if from == self.idx {
                 continue;
@@ -857,7 +780,7 @@ impl ShardCtx<'_> {
 
     /// Phase 1b: steps this shard's sources in node order, recording the
     /// created packet ids for the serial tagging commit.
-    pub(crate) fn phase_sources(&mut self, env: &ShardEnv<'_>, now: u64) {
+    fn phase_sources(&mut self, env: &ShardEnv<'_>, now: u64) {
         let mesh = env.mesh;
         let local = mesh.local_port() as u8;
         let mut step = std::mem::take(&mut self.aux.step_buf);
@@ -873,8 +796,8 @@ impl ShardCtx<'_> {
                     })
                 });
                 if let Some(reason) = reason {
-                    // Mirror of the serial engines' injection clip:
-                    // bounce the credit, account the drop.
+                    // The flit never enters the network: bounce the
+                    // credit the source consumed and account the drop.
                     self.sources[i].credit(flit.vc);
                     self.drops[i].count(reason, flit.kind.is_head());
                     out.drop_stats.count(reason, flit.kind.is_head());
@@ -897,12 +820,13 @@ impl ShardCtx<'_> {
         self.aux.step_buf = step;
     }
 
-    /// Phase 2: ticks this shard's active routers in node order.
+    /// Phase 2: ticks this shard's active routers (every router under
+    /// the cycle-driven reference) in node order.
     /// Departures and credits go on the calendar of their consumer's
     /// shard: this shard's own directly, another's through the mailboxes
     /// (tagged with their due cycle). Ejections and channel-load events
     /// are recorded for the serial commit.
-    pub(crate) fn phase_tick(&mut self, env: &ShardEnv<'_>, now: u64) {
+    fn phase_tick(&mut self, env: &ShardEnv<'_>, now: u64) {
         let mesh = env.mesh;
         let local = mesh.local_port();
         let metering = env.rebalance_epoch != 0;
@@ -912,7 +836,7 @@ impl ShardCtx<'_> {
         let mut buf = std::mem::take(&mut self.aux.tick_buf);
         let mut out = lock_mailbox(&env.outs[self.idx]);
         for i in 0..self.routers.len() {
-            if !self.active[i] {
+            if !self.active[i] && !env.tick_all {
                 continue;
             }
             let node = self.lo + i;
@@ -979,6 +903,7 @@ impl ShardCtx<'_> {
                 self.aux.busy = true;
             }
         }
+        out.wheel_pending = self.aux.calendar.pending() as u64;
         drop(out);
         self.aux.tick_buf = buf;
 
@@ -1059,29 +984,25 @@ impl ShardCtx<'_> {
         }
     }
 
+    /// Runs fused phase `phase` (0 delivery, 1 sources, 2 router) of
+    /// cycle `now`. With tracing on, its wall-clock duration is added to
+    /// this shard's `ShardOut` for the leader's span log.
+    pub(crate) fn run_phase(&mut self, env: &ShardEnv<'_>, now: u64, phase: usize) {
+        let t = env.trace.then(Instant::now);
+        match phase {
+            0 => self.phase_deliver(env, now),
+            1 => self.phase_sources(env, now),
+            _ => self.phase_tick(env, now),
+        }
+        if let Some(t) = t {
+            lock_mailbox(&env.outs[self.idx]).span_nanos[phase] += t.elapsed().as_nanos() as u64;
+        }
+    }
+
     /// Executes one full cycle (the fused compute phase) and votes.
-    /// With tracing on, the wall-clock duration of each fused phase is
-    /// accumulated into this shard's `ShardOut` for the leader's span
-    /// log.
-    pub(crate) fn run_cycle(&mut self, env: &ShardEnv<'_>, lockstep: &Lockstep, now: u64) {
-        if env.trace {
-            let t0 = std::time::Instant::now();
-            self.phase_deliver(env, now);
-            let t1 = std::time::Instant::now();
-            self.phase_sources(env, now);
-            let t2 = std::time::Instant::now();
-            self.phase_tick(env, now);
-            let t3 = std::time::Instant::now();
-            let deltas = [t1 - t0, t2 - t1, t3 - t2].map(|d| d.as_nanos() as u64);
-            let mut out = lock_mailbox(&env.outs[self.idx]);
-            for (slot, d) in out.span_nanos.iter_mut().zip(deltas) {
-                *slot += d;
-            }
-            drop(out);
-        } else {
-            self.phase_deliver(env, now);
-            self.phase_sources(env, now);
-            self.phase_tick(env, now);
+    fn run_cycle(&mut self, env: &ShardEnv<'_>, lockstep: &Lockstep, now: u64) {
+        for phase in 0..3 {
+            self.run_phase(env, now, phase);
         }
         self.finish_cycle(env, lockstep);
         self.vote(lockstep, now);
@@ -1101,11 +1022,15 @@ impl ShardCtx<'_> {
         self.aux.calendar.advance_to(target - 1);
     }
 
-    /// The shard-local mirror of the serial engines' departure clip
-    /// (see [`crate::sim::Network`]): same slot indexing relative to the
-    /// shard's base node, same synchronous credit reclaim — the reclaim
-    /// touches only this shard's own router, so no mail is needed and
-    /// the result is identical under every partition.
+    /// Applies the fault layer to a departure leaving `node` through
+    /// `out_port` at `now`, returning `true` when the flit is dropped
+    /// (the caller then skips forwarding it). The head flit decides the
+    /// packet's fate at each link; bodies and tails follow it via the
+    /// clip slot, so wormhole packets are never torn. Credits the
+    /// crossbar grant consumed are reclaimed synchronously — dead links
+    /// must not leak VC buffers — and the reclaim touches only this
+    /// shard's own router, so no mail is needed and the result is
+    /// identical under every partition.
     fn clip_departure(
         &mut self,
         env: &ShardEnv<'_>,
@@ -1121,6 +1046,9 @@ impl ShardCtx<'_> {
         let local = env.mesh.local_port();
         let i = node - self.lo;
         let reason = if out_port == local && flit.dest != node {
+            // Stranded: adaptive routing found no live candidate and
+            // resolved to the sink. The whole packet routes there, so
+            // the per-flit check is consistent without a clip slot.
             Some(DropReason::Stranded)
         } else {
             let slot = &mut self.clip_out[(i * env.mesh.ports() + out_port) * env.vcs + flit.vc];
@@ -1132,6 +1060,8 @@ impl ShardCtx<'_> {
             return false;
         };
         if out_port != local {
+            // The flit never reaches the downstream buffer; return the
+            // credit so the VC refills. Ejection consumes no credit.
             self.routers[i].accept_credit(out_port, flit.vc, now);
         }
         self.drops[i].count(reason, flit.kind.is_head());
@@ -1142,13 +1072,16 @@ impl ShardCtx<'_> {
         true
     }
 
-    /// Consumes an ejected flit at its destination — the shard-local half
-    /// of [`crate::sim::Network`]'s ejection: reassembly and conservation
-    /// checks happen here; the order-sensitive tagging/latency updates are
-    /// deferred to the serial commit via `out.tails`.
+    /// Consumes an ejected flit at its destination ("immediate
+    /// ejection"): reassembly and conservation checks happen here; the
+    /// order-sensitive tagging/latency updates are deferred to the
+    /// serial commit via `out.tails`.
     fn eject(&mut self, env: &ShardEnv<'_>, node: usize, flit: Flit, out: &mut ShardOut) {
         assert_eq!(flit.dest, node, "flit ejected at the wrong node");
         out.ejected += 1;
+        // Index-addressed reassembly: flits of one packet arrive on one
+        // ejection VC in order and packets never interleave within a VC
+        // (the upstream output VC / wormhole hold is held to the tail).
         let slot = &mut self.eject_slots[(node - self.lo) * env.vcs + flit.vc];
         if slot.1 == 0 {
             *slot = (flit.packet, 1);
@@ -1181,10 +1114,9 @@ pub(crate) fn worker_loop(
     lockstep: &Lockstep,
     mut now: u64,
 ) {
-    let party = ctx.idx;
     let _guard = PoisonGuard(&lockstep.gate);
     loop {
-        lockstep.gate.arrive(party);
+        lockstep.gate.arrive();
         if lockstep.stop.load(Ordering::Acquire) {
             return;
         }
@@ -1206,17 +1138,19 @@ mod tests {
     /// Drives the leader-gate protocol: workers increment then arrive,
     /// the leader must observe exactly one increment per worker per
     /// round while it holds the serial section.
-    fn gate_round_trips(kind: BarrierKind, parties: usize) {
-        let gate = Gate::new(kind, parties);
+    #[test]
+    fn spin_gate_synchronizes_rounds() {
+        let parties = 4;
+        let gate = Gate::new(parties);
         let counter = AtomicU64::new(0);
         let rounds = 200u64;
         std::thread::scope(|scope| {
-            for p in 1..parties {
+            for _ in 1..parties {
                 let (gate, counter) = (&gate, &counter);
                 scope.spawn(move || {
                     for _ in 0..rounds {
                         counter.fetch_add(1, Ordering::AcqRel);
-                        gate.arrive(p);
+                        gate.arrive();
                     }
                 });
             }
@@ -1234,62 +1168,39 @@ mod tests {
     }
 
     #[test]
-    fn spin_gate_synchronizes_rounds() {
-        gate_round_trips(BarrierKind::Spin, 4);
-    }
-
-    #[test]
-    fn tree_gate_synchronizes_rounds() {
-        // 7 parties exercises a two-level tree with an incomplete last
-        // row; 2 exercises the single-child root.
-        gate_round_trips(BarrierKind::Tree, 7);
-        gate_round_trips(BarrierKind::Tree, 2);
-    }
-
-    #[test]
     fn single_party_gate_never_blocks() {
-        for kind in [BarrierKind::Spin, BarrierKind::Tree] {
-            let gate = Gate::new(kind, 1);
-            for _ in 0..10 {
-                gate.wait_followers();
-                gate.release();
-            }
+        let gate = Gate::new(1);
+        for _ in 0..10 {
+            gate.wait_followers();
+            gate.release();
         }
     }
 
     #[test]
     #[should_panic(expected = "sibling shard panicked")]
     fn poisoned_gate_panics_waiters() {
-        let gate = Gate::new(BarrierKind::Spin, 2);
+        let gate = Gate::new(2);
         gate.poison();
-        gate.arrive(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "sibling shard panicked")]
-    fn poisoned_tree_gate_panics_waiters() {
-        let gate = Gate::new(BarrierKind::Tree, 2);
-        gate.poison();
-        gate.arrive(1);
+        gate.arrive();
     }
 
     #[test]
     fn poison_guard_fires_only_on_unwind() {
-        let gate = Gate::new(BarrierKind::Spin, 1);
+        let gate = Gate::new(1);
         {
             let _guard = PoisonGuard(&gate);
         }
         gate.wait_followers(); // not poisoned by a clean drop
         gate.release();
 
-        let gate = std::sync::Arc::new(Gate::new(BarrierKind::Spin, 2));
+        let gate = std::sync::Arc::new(Gate::new(2));
         let g = std::sync::Arc::clone(&gate);
         let worker = std::thread::spawn(move || {
             let _guard = PoisonGuard(&g);
             panic!("boom");
         });
         assert!(worker.join().is_err());
-        assert!(std::panic::catch_unwind(|| gate.arrive(1)).is_err());
+        assert!(std::panic::catch_unwind(|| gate.arrive()).is_err());
     }
 
     #[test]

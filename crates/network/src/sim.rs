@@ -2,57 +2,57 @@
 //! by constant-rate sources, measured with the paper's warm-up + tagged
 //! sample protocol.
 //!
-//! # One calendar, three engines, one result
+//! # One core, three engines, one result
 //!
-//! Every flit and credit on a wire is scheduled on a delivery
-//! [`Calendar`] when it is emitted, under the cycle it arrives and
-//! addressed to its consumer: a flit to the downstream router's input
-//! port, a credit to the upstream router's output port (or to the node's
-//! own source for the local port). Each cycle an engine takes the flits
-//! due, then the credits due, and hands each straight to its consumer.
-//! The network can be advanced by any of three engines (selected with
-//! [`crate::config::EngineKind`]):
+//! Every flit and credit on a wire is scheduled on a delivery calendar
+//! when it is emitted, under the cycle it arrives and addressed to its
+//! consumer: a flit to the downstream router's input port, a credit to
+//! the upstream router's output port (or to the node's own source for
+//! the local port). Each cycle takes the flits due, then the credits
+//! due, and hands each straight to its consumer; then it steps the
+//! sources and ticks the routers, in node order. One core runs that
+//! cycle over contiguous shards of the nodes (see [`crate::shard`]), in
+//! one of three modes selected with [`crate::config::EngineKind`]:
 //!
-//! * **cycle-driven** — every cycle, drain the calendar and tick every
-//!   router. The reference implementation: it never skips a router and
-//!   never fast-forwards, O(nodes) work per cycle no matter how idle the
-//!   fabric is.
-//! * **event-driven** — the default. Routers are ticked only while
-//!   non-quiescent (see [`Router::is_quiescent`]) and are woken by flit
-//!   arrival; when nothing is active and nothing is due, the engine
-//!   fast-forwards to the calendar's next due cycle. At the
+//! * **cycle-driven** — one shard that ticks every router every cycle
+//!   and never fast-forwards. The reference: O(nodes) work per cycle no
+//!   matter how idle the fabric is.
+//! * **event-driven** — the default. One shard whose routers are ticked
+//!   only while non-quiescent (see [`Router::is_quiescent`]) and are
+//!   woken by flit arrival; when nothing is active and nothing is due,
+//!   the run fast-forwards to the next cycle with work. At the
 //!   sub-saturation loads that dominate a latency–throughput curve, most
-//!   routers are idle in most cycles, so this skips the bulk of the work.
-//! * **sharded-parallel** — the event engine split across threads, one
-//!   calendar per shard (see [`crate::shard`]).
+//!   routers are idle in most cycles, so this skips the bulk of the
+//!   work.
+//! * **sharded-parallel** — the event-driven mode split across threads,
+//!   one calendar per shard.
 //!
-//! The engines produce **bit-identical** results, because the event
-//! engine only elides provable no-ops: a quiescent router's tick changes
+//! The modes produce **bit-identical** results, because the event-driven
+//! mode only elides provable no-ops: a quiescent router's tick changes
 //! no state (arbiter priorities move only on grants), and a credit only
 //! enables work for flits its receiver already buffers. Within a
 //! delivery phase the deliveries commute (each touches one input buffer
 //! or one credit counter), a link carries at most one flit per cycle,
 //! sources are stepped in node order, routers are ticked in node order,
 //! and routers only interact through links with ≥ 1 cycle of latency —
-//! so every cross-engine reordering is of commuting operations. The
-//! claim is enforced, not assumed: `tests/engine_equivalence.rs` runs
-//! the engines over randomized configurations and asserts identical
-//! measurements.
+//! so every cross-mode reordering is of commuting operations. The
+//! order-sensitive measurement state is committed by one thread in node
+//! order. The claim is enforced, not assumed: `tests/engine_equivalence.rs`
+//! runs the modes over randomized configurations and asserts identical
+//! measurements, and `tests/golden_results.rs` pins the results
+//! themselves.
 
-use crate::calendar::{Calendar, CreditArrival, FlitArrival, LinkTable};
+use crate::calendar::LinkTable;
 use crate::channel_load::ChannelLoad;
 use crate::config::{ConfigError, EngineKind, NetworkConfig};
-use crate::fault::{clip, ClipSlot, DropReason, DropStats, FaultModel};
+use crate::fault::{ClipSlot, DropStats, FaultModel};
 use crate::histogram::Histogram;
 use crate::routing::RouteTable;
-use crate::shard::{
-    worker_loop, Lockstep, PoisonGuard, ShardCtx, ShardEnv, ShardOut, ShardSet, SRC_SCAN_CAP,
-};
-use crate::source::{packet_seq, packet_source, Source, SourceStep};
+use crate::shard::{worker_loop, Lockstep, PoisonGuard, ShardCtx, ShardEnv, ShardOut, ShardSet};
+use crate::source::{packet_seq, packet_source, Source};
 use crate::stats::{EngineWork, LatencyStats, PhaseNanos};
-use crate::tap::{BoundaryCounts, EngineView, TelemetryState};
-use crate::topology::Mesh;
-use router_core::{Flit, PacketId, Router, RoutingOracle, TickOutput};
+use crate::tap::{BoundaryCounts, TelemetryState};
+use router_core::{Flit, PacketId, Router, RoutingOracle};
 use runqueue::CancelToken;
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
@@ -135,7 +135,7 @@ pub struct RunResult {
     pub dropped_flits: u64,
     /// Packets dropped by the fault layer (counted at the head flit).
     pub dropped_packets: u64,
-    /// Drop counters broken down by [`DropReason`].
+    /// Drop counters broken down by [`crate::fault::DropReason`].
     pub drops: DropStats,
     /// Ordered (src, dst) pairs unreachable under the kill epoch in
     /// force when the run ended (0 without permanent kills).
@@ -154,8 +154,8 @@ pub struct RunResult {
     pub flow_stats: Option<FlowStats>,
     /// The retained epoch-snapshot stream, present when telemetry was
     /// on. Its counter section ([`MetricsLog::identity`]) is
-    /// bit-identical across engine kinds, shard counts, thread
-    /// schedules, and barrier kinds; gauges are engine diagnostics.
+    /// bit-identical across engine kinds, shard counts, and thread
+    /// schedules; gauges are engine diagnostics.
     pub metrics: Option<MetricsLog>,
     /// Per-epoch phase spans, present when both telemetry and
     /// [`NetworkConfig::with_phase_timing`] were on (wall-clock
@@ -177,45 +177,31 @@ pub struct Network {
     now: u64,
     /// Credit return latency (propagation + processing − 1), cached.
     credit_latency: u64,
-    /// Every flit and credit in flight (the serial engines'; each shard
-    /// of the sharded engine keeps its own).
-    calendar: Calendar,
-    /// Routers with work pending; the event engine ticks them each cycle
-    /// until quiescent.
+    /// Routers with work pending; they are ticked each cycle until
+    /// quiescent.
     router_active: Vec<bool>,
-    /// Reused tick output buffer.
-    tick_buf: TickOutput,
-    /// Reused source step buffer.
-    source_step_buf: SourceStep,
-    /// Router ticks executed (work accounting).
-    router_ticks: u64,
-    /// Cached earliest cycle at which a source can cross its injection
-    /// threshold (the serial event engine's half of the quiescence
-    /// fast-forward; the sharded engine keeps per-shard caches instead).
-    /// Valid until reached — a quiet source's crossing schedule is pure
-    /// accumulator arithmetic and cannot move earlier.
-    src_next: u64,
-    /// Sharded-parallel engine state (present only under
-    /// [`EngineKind::ParallelShards`]; see [`crate::shard`]).
-    shards: Option<ShardSet>,
+    /// The engine state: partition, per-shard calendars and mailboxes,
+    /// rebalancer (see [`crate::shard`]). One shard under the cycle- and
+    /// event-driven engines.
+    shards: ShardSet,
     /// The global, order-sensitive measurement state — one field, so the
-    /// serial engines and the parallel [`Committer`] borrow it as a unit
-    /// and there is exactly one list of what "measurement" means.
+    /// serial commit borrows it as a unit and there is exactly one list
+    /// of what "measurement" means.
     meas: Measurement,
     /// Reassembly slot per `(node, ejection VC)`: the packet currently
     /// ejecting there and how many of its flits have arrived. Packets
     /// cannot interleave within one ejection VC (the output VC / wormhole
     /// hold is owned until the tail), so this replaces the old
     /// `HashMap<PacketId, u32>` with a dense `node * vcs + vc` lookup.
-    /// A count of 0 means the slot is free. (Node-indexed, hence shard-
-    /// split under the parallel engine — not part of [`Measurement`].)
+    /// A count of 0 means the slot is free. (Node-indexed, hence
+    /// shard-split — not part of [`Measurement`].)
     eject_slots: Vec<(PacketId, u32)>,
     /// Per-phase wall-clock attribution (accumulated only when
     /// `cfg.phase_timing` is set).
     phases: PhaseNanos,
     /// The compiled fault plan (`None` on a healthy network — every
-    /// fault hook below is behind this option, so an empty plan runs
-    /// exactly today's code).
+    /// fault hook is behind this option, so an empty plan runs exactly
+    /// the healthy code).
     fault: Option<FaultModel>,
     /// Clip-at-head state per (node, output port, VC) — the fate a head
     /// flit decided at a link, held until its tail passes. Node-indexed
@@ -250,15 +236,14 @@ struct Measurement {
     measure_start: Option<u64>,
     /// Telemetry state, allocated only when
     /// [`NetworkConfig::with_telemetry`] is set. Lives inside
-    /// `Measurement` because every mutation happens at serially-ordered
-    /// points: the serial engines' own steps, or the sharded engine's
-    /// leader-only commit.
+    /// `Measurement` because every mutation happens in the serial
+    /// commit or at an epoch boundary, with no shard computing.
     telemetry: Option<Box<TelemetryState>>,
 }
 
 impl Measurement {
-    /// Tags `id` if the sample is still filling (call in creation order;
-    /// shared by [`Network::step_sources`] and the parallel commit).
+    /// Tags `id` if the sample is still filling (call in creation
+    /// order).
     #[inline]
     fn tag_created(&mut self, id: PacketId, now: u64, cfg: &NetworkConfig) {
         if self.tagged_created < cfg.sample_packets {
@@ -304,6 +289,92 @@ impl Measurement {
         if (lo..hi).contains(&seq) {
             self.tagged_done += 1;
         }
+    }
+
+    /// Whether the tagged sample of `sample` packets has been fully
+    /// created and received.
+    fn sample_complete(&self, sample: u64) -> bool {
+        self.tagged_created >= sample && self.tagged_done >= self.tagged_created
+    }
+
+    /// The serial measurement commit of cycle `now`: drains every
+    /// shard's records **in shard (= node) order** — tagging first (the
+    /// source phase precedes every ejection), then the floating-point
+    /// latency accumulators and channel-load counters. This is the only
+    /// place per-shard state is merged, and it never depends on thread
+    /// completion order.
+    fn commit(&mut self, cfg: &NetworkConfig, now: u64, outs: &[Mutex<ShardOut>]) {
+        let measuring = now >= cfg.warmup_cycles;
+        // Tagging first: sources create packets before any ejection of
+        // the same cycle is observed. (A packet created this cycle cannot
+        // eject this cycle — every path has ≥ 1 cycle of link latency —
+        // but the measure_start transition must see the source-phase
+        // state.)
+        for out in outs {
+            let mut o = out.lock().expect("shard out poisoned");
+            for id in o.created.drain(..) {
+                if measuring {
+                    self.tag_created(id, now, cfg);
+                }
+            }
+        }
+        // Then the ejection-side accumulators, in shard (= node) order.
+        for (lane, out) in outs.iter().enumerate() {
+            let mut o = out.lock().expect("shard out poisoned");
+            self.flits_ejected += o.ejected;
+            if self.measure_start.is_some() {
+                self.measured_flits += o.ejected;
+            }
+            o.ejected = 0;
+            for (node, port) in o.loads.drain(..) {
+                self.channel_load.record(node as usize, port as usize);
+            }
+            for (packet, created, dest) in o.tails.drain(..) {
+                self.record_tail(packet, created, now, dest as usize);
+            }
+            // Dropped tagged packets resolve here, after tagging above
+            // (a packet clipped at injection the cycle it was created is
+            // tagged first). Only a counter — order against tails is
+            // immaterial.
+            for packet in o.drops.drain(..) {
+                self.record_dropped(packet);
+            }
+            // Telemetry deltas fold in fixed shard order (or just
+            // reset, so a later telemetry run never inherits garbage).
+            if let Some(t) = self.telemetry.as_deref_mut() {
+                t.absorb_shard(lane, &mut o);
+            } else {
+                o.injected = 0;
+                o.ticks = 0;
+                o.mail_flits = 0;
+                o.mail_credits = 0;
+                o.drop_stats = DropStats::default();
+                o.span_nanos = [0; 3];
+            }
+        }
+        self.channel_load.tick();
+    }
+
+    /// Emits the epoch snapshot if `cycle` — the first cycle not yet
+    /// committed — is the telemetry boundary. Runs only while no shard
+    /// computes: in the serial section, after a fast-forward grant
+    /// (workers then touch only their own shard state), or at the end
+    /// of an inline step. No-op without telemetry or away from the
+    /// boundary.
+    fn telemetry_boundary(&mut self, cycle: u64, fault: Option<&FaultModel>, phases: &PhaseNanos) {
+        let Some(t) = self.telemetry.as_deref_mut() else {
+            return;
+        };
+        if cycle != t.next {
+            return;
+        }
+        let counts = BoundaryCounts {
+            flits_ejected: self.flits_ejected,
+            tagged_created: self.tagged_created,
+            tagged_done: self.tagged_done,
+            unreachable_pairs: fault.map_or(0, |f| f.unreachable_pairs(cycle)),
+        };
+        t.emit(cycle, counts, phases);
     }
 }
 
@@ -361,19 +432,19 @@ impl Network {
         let credit_latency = cfg.credit_prop_delay + cfg.credit_proc_delay - 1;
 
         // Horizon: a message emitted during cycle `t` arrives at
-        // `t + 1 + latency`, so the calendar must reach that far ahead.
+        // `t + 1 + latency`, so the calendars must reach that far ahead.
         let horizon = 1 + cfg.link_delay.max(credit_latency) + 1;
         let channel_load = ChannelLoad::new(&cfg.mesh);
         let vcs = cfg.router.vcs();
-        let shards = match cfg.engine {
-            EngineKind::ParallelShards { shards } => {
-                Some(ShardSet::new(&cfg.mesh, shards, horizon, cfg.rebalance))
-            }
-            EngineKind::CycleDriven | EngineKind::EventDriven => None,
+        // The one-shard engines ignore the rebalance knob.
+        let (shard_count, rebalance) = match cfg.engine {
+            EngineKind::ParallelShards { shards } => (shards, cfg.rebalance),
+            EngineKind::CycleDriven | EngineKind::EventDriven => (1, None),
         };
+        let shards = ShardSet::new(&cfg.mesh, shard_count, horizon, rebalance);
         // One trace lane per effective shard (the partition may clamp
-        // below the requested count); the serial engines use lane 0.
-        let lanes = shards.as_ref().map_or(1, |s| s.ranges.len());
+        // below the requested count).
+        let lanes = shards.ranges.len();
         let telemetry = cfg.telemetry.map(|t| {
             Box::new(TelemetryState::new(
                 t.epoch,
@@ -391,12 +462,7 @@ impl Network {
             links,
             now: 0,
             credit_latency,
-            calendar: Calendar::new(horizon),
             router_active: vec![false; nodes],
-            tick_buf: TickOutput::default(),
-            source_step_buf: SourceStep::default(),
-            router_ticks: 0,
-            src_next: 0,
             shards,
             meas: Measurement {
                 tagged_ranges: vec![(0, 0); nodes],
@@ -455,317 +521,21 @@ impl Network {
         self.phases.rebalances
     }
 
-    /// Advances the network one cycle with the configured engine.
-    ///
-    /// Under [`EngineKind::ParallelShards`] this executes the sharded
-    /// protocol inline on the calling thread (shard by shard, in index
-    /// order) — bit-identical to the threaded run, which only exists for
-    /// wall-clock speed. [`Network::run`] is where the worker pool lives.
+    /// Advances the network one cycle, executing the shards inline on
+    /// the calling thread: each phase runs on every shard in index
+    /// order, so the result is identical to the threaded
+    /// [`Network::run`] loop by construction (cross-shard interaction
+    /// happens only through the round-separated mailboxes either way).
+    /// Quiescence fast-forward is a run-loop optimization and never
+    /// fires here, where callers expect cycle granularity.
     pub fn step(&mut self) {
-        match self.cfg.engine {
-            EngineKind::CycleDriven => self.step_serial(false),
-            EngineKind::EventDriven => self.step_serial(true),
-            EngineKind::ParallelShards { .. } => self.step_parallel_inline(),
-        }
-    }
-
-    /// One cycle of a serial engine: deliver what the calendar has due,
-    /// step the sources, tick the routers. The cycle-driven reference
-    /// ticks every router; the event-driven engine (`skip_idle`) ticks
-    /// only the active set. See the module docs for the equivalence
-    /// argument.
-    fn step_serial(&mut self, skip_idle: bool) {
-        let now = self.now;
-        let mesh = self.cfg.mesh;
-        let timing = self.cfg.phase_timing;
-        let t0 = timing.then(Instant::now);
-
-        // 1. Deliver everything due this cycle.
-        self.deliver(now);
-
-        let t1 = timing.then(Instant::now);
-
-        // 2. Sources generate and inject (every cycle: constant-rate
-        // accumulation must add `rate` exactly once per cycle to stay
-        // bit-identical with the reference engine).
-        self.step_sources(now, &mesh);
-
-        let t2 = timing.then(Instant::now);
-
-        // 3. Tick the routers in node order (eject order feeds the
-        // latency accumulator, whose floating-point state is
-        // order-sensitive), retiring the ones that went quiescent.
-        for node in 0..mesh.nodes() {
-            if self.router_active[node] || !skip_idle {
-                self.tick_router(now, &mesh, node);
-                if self.routers[node].is_quiescent() {
-                    self.router_active[node] = false;
-                }
-            }
-        }
-
-        let t3 = timing.then(Instant::now);
-        self.meas.channel_load.tick();
-        self.now += 1;
-        if let (Some(t0), Some(t1), Some(t2), Some(t3)) = (t0, t1, t2, t3) {
-            self.phases.accumulate(t0, t1, t2, t3, Instant::now());
-        }
-        self.telemetry_boundary();
-    }
-
-    /// Delivers the flits, then the credits, the calendar has due at
-    /// `now`: each flit into its router's input buffer (waking the
-    /// router), each credit to its upstream router or source.
-    ///
-    /// A credit needs no wake-up: it only *enables* work for flits the
-    /// receiver already buffers. A non-quiescent receiver is already in
-    /// the active set; a quiescent one stays a no-op until a flit arrives
-    /// (see [`Router::is_quiescent`]).
-    fn deliver(&mut self, now: u64) {
-        let local = self.cfg.mesh.local_port();
-        let mut flits = self.calendar.flits.take_due(now);
-        for a in flits.drain(..) {
-            let node = a.node as usize;
-            self.routers[node].accept_flit(a.port as usize, a.flit, now);
-            self.router_active[node] = true;
-        }
-        self.calendar.flits.restore(now, flits);
-        let mut credits = self.calendar.credits.take_due(now);
-        for c in credits.drain(..) {
-            let node = c.node as usize;
-            if c.port as usize == local {
-                self.sources[node].credit(c.vc as usize);
-            } else {
-                self.routers[node].accept_credit(c.port as usize, c.vc as usize, now);
-            }
-        }
-        self.calendar.credits.restore(now, credits);
-    }
-
-    /// Emits the epoch snapshot if this engine has just *arrived* at the
-    /// telemetry boundary (every path that advances `self.now` — a step
-    /// or a clamped fast-forward — calls this). No-op without telemetry
-    /// or away from the boundary.
-    fn telemetry_boundary(&mut self) {
-        let Some(t) = self.meas.telemetry.as_deref() else {
-            return;
-        };
-        if self.now != t.next {
-            return;
-        }
-        let cycle = self.now;
-        let unreachable = self
-            .fault
-            .as_ref()
-            .map_or(0, |f| f.unreachable_pairs(cycle));
-        let view = if matches!(self.cfg.engine, EngineKind::ParallelShards { .. }) {
-            EngineView::Sharded
-        } else {
-            EngineView::Serial {
-                router_ticks: self.router_ticks,
-                wheel_pending: self.calendar.pending() as u64,
-            }
-        };
-        let meas = &mut self.meas;
-        let counts = BoundaryCounts {
-            flits_ejected: meas.flits_ejected,
-            tagged_created: meas.tagged_created,
-            tagged_done: meas.tagged_done,
-            unreachable_pairs: unreachable,
-        };
-        meas.telemetry.as_deref_mut().expect("checked above").emit(
-            cycle,
-            counts,
-            &self.phases,
-            view,
-        );
-    }
-
-    /// Steps every source in node order; tags sample packets and
-    /// schedules injected flits into the local input port.
-    fn step_sources(&mut self, now: u64, mesh: &Mesh) {
-        let local = mesh.local_port() as u8;
-        let measuring = now >= self.cfg.warmup_cycles;
-        let mut step = std::mem::take(&mut self.source_step_buf);
-        for node in 0..mesh.nodes() {
-            self.sources[node].step_into(now, mesh, &self.cfg.pattern, &mut step);
-            if measuring {
-                for &id in &step.created {
-                    self.meas.tag_created(id, now, &self.cfg);
-                }
-            }
-            if let Some(flit) = step.injected {
-                let vcs = self.cfg.router.vcs();
-                if let Some(t) = self.meas.telemetry.as_deref_mut() {
-                    t.count_injected();
-                }
-                let reason = self.fault.as_ref().and_then(|fm| {
-                    clip(&mut self.clip_in[node * vcs + flit.vc], &flit, || {
-                        fm.injection_drop(node, flit.dest, now, flit.packet)
-                    })
-                });
-                if let Some(reason) = reason {
-                    // The flit never enters the network: bounce the
-                    // credit the source consumed and account the drop.
-                    self.sources[node].credit(flit.vc);
-                    self.drops[node].count(reason, flit.kind.is_head());
-                    if let Some(t) = self.meas.telemetry.as_deref_mut() {
-                        t.count_drop(reason, flit.kind.is_head());
-                    }
-                    if flit.kind.is_head() {
-                        self.meas.record_dropped(flit.packet);
-                    }
-                    continue;
-                }
-                self.calendar.flits.schedule(
-                    now + 1 + self.cfg.link_delay,
-                    FlitArrival {
-                        node: node as u32,
-                        port: local,
-                        flit,
-                    },
-                );
-            }
-        }
-        self.source_step_buf = step;
-    }
-
-    /// Applies the fault layer to a departure leaving `node` through
-    /// `out_port` at `now`, returning `true` when the flit is dropped
-    /// (the caller then skips forwarding it). The head flit decides the
-    /// packet's fate at each link; bodies and tails follow it via the
-    /// clip slot, so wormhole packets are never torn. Credits the
-    /// crossbar grant consumed are reclaimed synchronously — dead links
-    /// must not leak VC buffers.
-    fn clip_departure(&mut self, now: u64, node: usize, out_port: usize, flit: &Flit) -> bool {
-        let Some(fm) = self.fault.as_ref() else {
-            return false;
-        };
-        let mesh = self.cfg.mesh;
-        let local = mesh.local_port();
-        let vcs = self.cfg.router.vcs();
-        let reason = if out_port == local && flit.dest != node {
-            // Stranded: adaptive routing found no live candidate and
-            // resolved to the sink. The whole packet routes there, so
-            // the per-flit check is consistent without a clip slot.
-            Some(DropReason::Stranded)
-        } else {
-            let slot = &mut self.clip_out[(node * mesh.ports() + out_port) * vcs + flit.vc];
-            clip(slot, flit, || {
-                fm.link_drop(node, out_port, now, flit.packet)
-            })
-        };
-        let Some(reason) = reason else {
-            return false;
-        };
-        if out_port != local {
-            // The flit never reaches the downstream buffer; return the
-            // credit so the VC refills. Ejection consumes no credit.
-            self.routers[node].accept_credit(out_port, flit.vc, now);
-        }
-        self.drops[node].count(reason, flit.kind.is_head());
-        if let Some(t) = self.meas.telemetry.as_deref_mut() {
-            t.count_drop(reason, flit.kind.is_head());
-        }
-        if flit.kind.is_head() {
-            self.meas.record_dropped(flit.packet);
-        }
-        true
-    }
-
-    /// Ticks router `node`, scheduling its departures and credits on the
-    /// calendar, addressed to their consumers.
-    fn tick_router(&mut self, now: u64, mesh: &Mesh, node: usize) {
-        let local = mesh.local_port();
-        let oracle = NodeOracle {
-            table: &self.route_table,
-            node,
-            fault: self.fault.as_ref().map(|f| (f, f.epoch_at(now))),
-        };
-        let mut out = std::mem::take(&mut self.tick_buf);
-        self.routers[node].tick_into(now, &oracle, &mut out);
-        self.router_ticks += 1;
-        for dep in out.departures.drain(..) {
-            self.meas.channel_load.record(node, dep.out_port);
-            if self.fault.is_some() && self.clip_departure(now, node, dep.out_port, &dep.flit) {
-                continue;
-            }
-            if dep.out_port == local {
-                self.eject(node, dep.flit);
-            } else {
-                let (node, port) = self.links.far_end(node, dep.out_port);
-                self.calendar.flits.schedule(
-                    now + 1 + self.cfg.link_delay,
-                    FlitArrival {
-                        node,
-                        port,
-                        flit: dep.flit,
-                    },
-                );
-            }
-        }
-        for c in out.credits.drain(..) {
-            let (node, port) = self.links.far_end(node, c.in_port);
-            self.calendar.credits.schedule(
-                now + 1 + self.credit_latency,
-                CreditArrival {
-                    node,
-                    port,
-                    vc: c.vc as u8,
-                },
-            );
-        }
-        self.tick_buf = out;
-    }
-
-    /// Consumes an ejected flit at its destination ("immediate ejection").
-    fn eject(&mut self, node: usize, flit: Flit) {
-        assert_eq!(flit.dest, node, "flit ejected at the wrong node");
-        self.meas.flits_ejected += 1;
-        if self.meas.measure_start.is_some() {
-            self.meas.measured_flits += 1;
-        }
-        // Index-addressed reassembly: flits of one packet arrive on one
-        // ejection VC in order and packets never interleave within a VC
-        // (the upstream output VC / wormhole hold is held to the tail).
-        let slot = &mut self.eject_slots[node * self.cfg.router.vcs() + flit.vc];
-        if slot.1 == 0 {
-            *slot = (flit.packet, 1);
-        } else {
-            assert_eq!(
-                slot.0, flit.packet,
-                "packets interleaved within one ejection VC"
-            );
-            slot.1 += 1;
-        }
-        if flit.kind.is_tail() {
-            let received = slot.1;
-            slot.1 = 0;
-            assert_eq!(
-                received, self.cfg.packet_len,
-                "tail ejected before the whole packet arrived"
-            );
-            self.meas
-                .record_tail(flit.packet, flit.created, self.now, node);
-        }
-    }
-
-    /// One cycle of the sharded-parallel protocol, executed inline on the
-    /// calling thread: every shard runs each phase in index order, so the
-    /// result is identical to the threaded [`Network::run`] loop by
-    /// construction (cross-shard interaction happens only through the
-    /// round-separated mailboxes either way; quiescence fast-forward is a
-    /// run-loop optimization and never fires here, where callers expect
-    /// cycle granularity). This is what [`Network::step`] uses — the
-    /// worker pool only pays off amortized over a whole run.
-    fn step_parallel_inline(&mut self) {
-        let mut set = self.shards.take().expect("parallel engine state");
         let now = self.now;
         let vcs = self.cfg.router.vcs();
-        let rb_epoch = self.cfg.rebalance.map_or(0, |rb| rb.epoch);
+        let pv = self.cfg.mesh.ports() * vcs;
+        let set = &mut self.shards;
+        let rb_epoch = set.rebalance.map_or(0, |rb| rb.epoch);
         let mut stamps = self.cfg.phase_timing.then(|| [Instant::now(); 5]);
         {
-            let pv = self.cfg.mesh.ports() * vcs;
             let env = ShardEnv {
                 mesh: self.cfg.mesh,
                 pattern: &self.cfg.pattern,
@@ -780,10 +550,8 @@ impl Network {
                 mail: &set.mail,
                 outs: &set.outs,
                 rebalance_epoch: rb_epoch,
-                // The inline path runs no `run_cycle`, so per-shard span
-                // stamping never happens here; spans come from the
-                // threaded run loop only.
-                trace: false,
+                trace: self.cfg.phase_timing && self.meas.telemetry.is_some(),
+                tick_all: self.cfg.engine == EngineKind::CycleDriven,
             };
             // A shard's disjoint view, re-borrowed per phase call (the
             // macro keeps the borrows field-granular).
@@ -801,24 +569,18 @@ impl Network {
                         drops: &mut self.drops[lo..hi],
                         active: &mut self.router_active[lo..hi],
                         aux: &mut set.aux[$s],
-                        work_epoch: &mut set.work_epoch[lo..hi],
-                        work_ewma: &mut set.work_ewma[lo..hi],
+                        work_epoch: ShardSet::meter(&mut set.work_epoch, lo, hi),
+                        work_ewma: ShardSet::meter(&mut set.work_ewma, lo, hi),
                     }
                 }};
             }
             let shards = set.ranges.len();
-            for s in 0..shards {
-                ctx!(s).phase_deliver(&env, now);
+            for phase in 0..3 {
+                for s in 0..shards {
+                    ctx!(s).run_phase(&env, now, phase);
+                }
+                mark(&mut stamps, phase + 1);
             }
-            mark(&mut stamps, 1);
-            for s in 0..shards {
-                ctx!(s).phase_sources(&env, now);
-            }
-            mark(&mut stamps, 2);
-            for s in 0..shards {
-                ctx!(s).phase_tick(&env, now);
-            }
-            mark(&mut stamps, 3);
             if rb_epoch != 0 {
                 for s in 0..shards {
                     if let Some(total) = ctx!(s).end_cycle(rb_epoch) {
@@ -827,92 +589,61 @@ impl Network {
                 }
             }
         }
-        self.committer().commit(now, &set.outs);
-        self.maybe_rebalance_inline(&mut set);
+        self.meas.commit(&self.cfg, now, &set.outs);
+        if let Some(rb) = set.rebalance {
+            // At an epoch boundary, meter the shards' published work
+            // totals; above the threshold, recut and migrate.
+            let exec = set.aux[0].executed;
+            if exec.is_multiple_of(rb.epoch)
+                && set.rebal.record_epoch(&mut self.phases, exec, rb.threshold)
+            {
+                set.recut(&self.cfg.mesh, &mut self.phases, exec);
+            }
+        }
         mark(&mut stamps, 4);
         if let Some(t) = stamps {
-            // Same shape as the serial engines: delivery, sources,
-            // router, stats — there is no barrier on the inline path.
+            // Delivery, sources, router, stats — there is no gate on the
+            // inline path.
             self.phases.accumulate(t[0], t[1], t[2], t[3], t[4]);
         }
         self.now = now + 1;
-        self.telemetry_boundary();
-        self.shards = Some(set);
+        self.meas
+            .telemetry_boundary(self.now, self.fault.as_ref(), &self.phases);
     }
 
-    /// The inline path's rebalance decision, mirroring the threaded
-    /// leader's serial section: at an epoch boundary, meter the shards'
-    /// published work totals; above the threshold, recut the partition
-    /// along the per-node EWMAs and migrate. (The threaded run reaches
-    /// the same state by ending its worker-pool era first — migration
-    /// needs the whole flat state, which the workers' shard views
-    /// borrow.)
-    fn maybe_rebalance_inline(&mut self, set: &mut ShardSet) {
-        let Some(rb) = self.cfg.rebalance else { return };
-        let exec = set.aux[0].executed;
-        if exec == 0 || !exec.is_multiple_of(rb.epoch) {
-            return;
-        }
-        if !set.rebal.record_epoch(&mut self.phases, exec, rb.threshold) {
-            return;
-        }
-        let shards = set.ranges.len();
-        let ok = self.cfg.mesh.weighted_shard_ranges_into(
-            &set.work_ewma,
-            shards,
-            &mut set.rebal.prefix,
-            &mut set.rebal.new_ranges,
-        );
-        let mut migrated = false;
-        if ok && set.rebal.new_ranges != set.ranges {
-            let moved = set.migrate();
-            self.phases.rebalances += 1;
-            self.phases.migrated_nodes += moved;
-            migrated = true;
-        }
-        set.rebal.after_decision(migrated, exec, rb.epoch);
-    }
-
-    /// The serial measurement commit over this network's global state.
-    fn committer(&mut self) -> Committer<'_> {
-        Committer {
-            cfg: &self.cfg,
-            meas: &mut self.meas,
-        }
-    }
-
-    /// The threaded sharded-parallel loop: a scoped worker pool (one
-    /// thread per shard beyond the coordinator, which doubles as shard
-    /// 0's worker) in lockstep rounds of **one gate barrier episode
-    /// each**. At the gate the coordinator — while every worker is
-    /// parked — commits the previous cycle's measurement records in
-    /// node order, then either stops, grants a quiescence fast-forward
-    /// (all shards voted their next work later than the coming cycle;
-    /// the skipped cycles execute no phases and wait at no barrier,
-    /// composing the event engine's idle-skipping with sharding), or
-    /// releases the workers into the next fused compute phase.
+    /// The threaded run loop: a scoped worker pool (one thread per shard
+    /// beyond the coordinator, which doubles as shard 0's worker; none
+    /// with one shard) in lockstep rounds of **one gate episode each**.
+    /// At the gate the coordinator — while every worker is parked —
+    /// commits the previous cycle's measurement records in node order,
+    /// then either stops, grants a quiescence fast-forward (all shards
+    /// voted their next work later than the coming cycle; the skipped
+    /// cycles execute no phases and wait at no gate — never under the
+    /// cycle-driven reference), or releases the workers into the next
+    /// fused compute phase.
     ///
     /// The pool runs in **eras**: when a rebalance decision fires at an
-    /// epoch gate (see [`crate::shard::RebalanceState`]), the era ends —
-    /// workers return, their borrowed shard views die, the coordinator
-    /// migrates the flat state onto the new partition, and a fresh pool
-    /// is spawned. A new era's first round always executes (never
-    /// skips): re-running a possibly quiescent cycle is exactly what the
-    /// serial reference would do, so nothing is lost but a round.
+    /// epoch gate (see [`crate::shard`]), the era ends — workers return,
+    /// their borrowed shard views die, the coordinator migrates the flat
+    /// state onto the new partition, and a fresh pool is spawned. A new
+    /// era's first round always executes (never skips): re-running a
+    /// possibly quiescent cycle is exactly what the cycle-driven
+    /// reference would do, so nothing is lost but a round.
     ///
     /// Advances the network until the sample completes, `max_cycles` is
     /// hit, or the cancellation token (polled every [`CANCEL_BATCH`]
     /// cycles on the coordinator; fast-forwards are clamped to batch
     /// boundaries so no poll is skipped) is poisoned — the return value
     /// is true for that last case.
-    fn run_parallel(&mut self) -> bool {
-        let mut set = self.shards.take().expect("parallel engine state");
-        let vcs = self.cfg.router.vcs();
-        let pv = self.cfg.mesh.ports() * vcs;
-        let timing = self.cfg.phase_timing;
-        let max_cycles = self.cfg.max_cycles;
-        let cancel = self.cfg.cancel.clone();
-        let rebalance = self.cfg.rebalance;
+    fn run_lockstep(&mut self) -> bool {
+        let cfg = &self.cfg;
+        let vcs = cfg.router.vcs();
+        let pv = cfg.mesh.ports() * vcs;
+        let timing = cfg.phase_timing;
+        let max_cycles = cfg.max_cycles;
+        let tick_all = cfg.engine == EngineKind::CycleDriven;
+        let set = &mut self.shards;
+        let rebalance = set.rebalance;
         // Span tracing: shards stamp phase durations only when both the
         // clock reads (phase timing) and somewhere to put them
         // (telemetry) exist.
@@ -922,25 +653,26 @@ impl Network {
         // must not re-decide it.
         let mut epoch_handled = 0u64;
 
-        let cancelled = loop {
+        loop {
             let start_now = self.now;
-            let lockstep = Lockstep::new(self.cfg.barrier, set.ranges.len(), start_now);
+            let lockstep = Lockstep::new(set.ranges.len(), start_now);
             let fault = self.fault.as_ref();
             let env = ShardEnv {
-                mesh: self.cfg.mesh,
-                pattern: &self.cfg.pattern,
+                mesh: cfg.mesh,
+                pattern: &cfg.pattern,
                 route_table: &self.route_table,
                 links: &self.links,
                 fault,
                 node_shard: &set.node_shard,
-                link_delay: self.cfg.link_delay,
+                link_delay: cfg.link_delay,
                 credit_latency: self.credit_latency,
-                packet_len: self.cfg.packet_len,
+                packet_len: cfg.packet_len,
                 vcs,
                 mail: &set.mail,
                 outs: &set.outs,
                 rebalance_epoch: rebalance.map_or(0, |rb| rb.epoch),
                 trace: tracing,
+                tick_all,
             };
             let ctxs = split_shards(
                 &set.ranges,
@@ -957,10 +689,7 @@ impl Network {
                 &mut set.work_epoch,
                 &mut set.work_ewma,
             );
-            let mut committer = Committer {
-                cfg: &self.cfg,
-                meas: &mut self.meas,
-            };
+            let meas = &mut self.meas;
             let phases = &mut self.phases;
             let rebal = &mut set.rebal;
             let epoch_handled = &mut epoch_handled;
@@ -985,21 +714,21 @@ impl Network {
                 let mut pending_commit = start_now;
                 let mut quiet_until = start_now;
                 let end = loop {
-                    let t0 = timing.then(Instant::now);
+                    let mut stamps = timing.then(|| [Instant::now(); 6]);
                     lockstep.gate.wait_followers();
-                    let t1 = timing.then(Instant::now);
+                    mark(&mut stamps, 1);
                     // ---- serial section: every worker is parked ----
                     if executed {
-                        committer.commit(pending_commit, env.outs);
+                        meas.commit(cfg, pending_commit, env.outs);
                         quiet_until = lockstep.take_vote();
                         // The commit completed cycle `pending_commit`,
                         // so the stream boundary is the cycle after it.
-                        committer.telemetry_boundary(pending_commit + 1, fault, phases);
+                        meas.telemetry_boundary(pending_commit + 1, fault, phases);
                     }
-                    let finished = now >= max_cycles || committer.sample_complete();
+                    let finished = now >= max_cycles || meas.sample_complete(cfg.sample_packets);
                     let cancel_due = !finished
                         && now.is_multiple_of(CANCEL_BATCH)
-                        && cancel.as_ref().is_some_and(CancelToken::is_cancelled);
+                        && cfg.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
                     if finished || cancel_due {
                         lockstep.stop.store(true, Ordering::Release);
                         lockstep.gate.release();
@@ -1027,18 +756,23 @@ impl Network {
                             }
                         }
                     }
-                    let mut target = quiet_until.min(max_cycles);
+                    // The cycle-driven reference never skips.
+                    let mut target = if tick_all {
+                        now
+                    } else {
+                        quiet_until.min(max_cycles)
+                    };
                     if let Some(fm) = fault {
                         // A scheduled fault is a wake-up event: never
                         // jump over a kill or a flaky edge, whose cycle
                         // changes what in-flight traffic would do.
                         target = target.min(fm.next_transition_at_or_after(now));
                     }
-                    if cancel.is_some() {
+                    if cfg.cancel.is_some() {
                         // Never jump a cancellation poll point.
                         target = target.min((now / CANCEL_BATCH + 1) * CANCEL_BATCH);
                     }
-                    if let Some(t) = committer.meas.telemetry.as_deref() {
+                    if let Some(t) = meas.telemetry.as_deref() {
                         // Epoch boundaries are wake-up points: land on
                         // them exactly so every engine snapshots at the
                         // same cycles.
@@ -1050,7 +784,7 @@ impl Network {
                         // global per-cycle effect is the channel-load
                         // window.
                         let skipped = target - now;
-                        committer.meas.channel_load.tick_n(skipped);
+                        meas.channel_load.tick_n(skipped);
                         phases.fast_forwarded += skipped;
                         lockstep.skip_to.store(target, Ordering::Release);
                         executed = false;
@@ -1059,8 +793,9 @@ impl Network {
                         now = target;
                         // A clamped jump can land exactly on the epoch
                         // boundary; the skipped cycles changed no
-                        // counter, mirroring the serial fast-forward.
-                        committer.telemetry_boundary(now, fault, phases);
+                        // counter, so snapshotting here is bit-identical
+                        // to having stepped through them.
+                        meas.telemetry_boundary(now, fault, phases);
                         continue;
                     }
                     lockstep.skip_to.store(now, Ordering::Release);
@@ -1068,30 +803,17 @@ impl Network {
                     pending_commit = now;
                     lockstep.gate.release();
                     // ---- fused compute phase, shard 0's share ----
-                    let t2 = timing.then(Instant::now);
-                    ctx0.phase_deliver(&env, now);
-                    let t3 = timing.then(Instant::now);
-                    ctx0.phase_sources(&env, now);
-                    let t4 = timing.then(Instant::now);
-                    ctx0.phase_tick(&env, now);
-                    if tracing {
-                        // Shard 0's phase spans, stamped from the same
-                        // instants the phase attribution uses (worker
-                        // shards stamp inside `run_cycle`).
-                        if let (Some(t2), Some(t3), Some(t4)) = (t2, t3, t4) {
-                            let deltas = [t3 - t2, t4 - t3, Instant::now() - t4]
-                                .map(|d| d.as_nanos() as u64);
-                            let mut o = env.outs[0].lock().expect("shard out poisoned");
-                            for (slot, d) in o.span_nanos.iter_mut().zip(deltas) {
-                                *slot += d;
-                            }
-                        }
-                    }
+                    mark(&mut stamps, 2);
+                    ctx0.run_phase(&env, now, 0);
+                    mark(&mut stamps, 3);
+                    ctx0.run_phase(&env, now, 1);
+                    mark(&mut stamps, 4);
+                    ctx0.run_phase(&env, now, 2);
                     ctx0.finish_cycle(&env, &lockstep);
                     ctx0.vote(&lockstep, now);
-                    if let (Some(t0), Some(t1), Some(t2), Some(t3), Some(t4)) = (t0, t1, t2, t3, t4)
-                    {
-                        phases.accumulate_parallel(&[t0, t1, t2, t3, t4, Instant::now()]);
+                    mark(&mut stamps, 5);
+                    if let Some(t) = stamps {
+                        phases.accumulate_parallel(&t);
                     }
                     now += 1;
                 };
@@ -1099,109 +821,25 @@ impl Network {
             });
             self.now = final_now;
             match end {
-                EraEnd::Done { cancelled } => break cancelled,
+                EraEnd::Done { cancelled } => return cancelled,
                 EraEnd::Rebalance { executed } => {
-                    let rb = rebalance.expect("rebalance era requires the knob");
-                    let shards = set.ranges.len();
-                    let ok = self.cfg.mesh.weighted_shard_ranges_into(
-                        &set.work_ewma,
-                        shards,
-                        &mut set.rebal.prefix,
-                        &mut set.rebal.new_ranges,
-                    );
-                    let mut migrated = false;
-                    if ok && set.rebal.new_ranges != set.ranges {
-                        let moved = set.migrate();
-                        self.phases.rebalances += 1;
-                        self.phases.migrated_nodes += moved;
-                        migrated = true;
-                    }
-                    set.rebal.after_decision(migrated, executed, rb.epoch);
+                    set.recut(&cfg.mesh, &mut self.phases, executed);
                 }
             }
-        };
-        self.shards = Some(set);
-        cancelled
-    }
-
-    /// Fast-forwards the serial event engine over cycles in which
-    /// provably nothing happens: no router is active, nothing on the
-    /// calendar is due, and no source can cross its
-    /// injection threshold. The skipped cycles' only effects — one
-    /// accumulator addition per source and the channel-load window — are
-    /// applied in bulk, bit-identically to stepping through them (the
-    /// sharded engine does the same globally when every shard votes
-    /// quiescent; the cycle-driven engine never skips, which is what
-    /// makes it the reference that proves these skips correct).
-    fn maybe_fast_forward(&mut self) {
-        debug_assert_eq!(self.cfg.engine, EngineKind::EventDriven);
-        if self.router_active.iter().any(|&a| a) {
-            return;
         }
-        let now = self.now;
-        // About to execute cycle `now`: a quiet source's step at `now`
-        // has not happened yet, so its first possible crossing is at
-        // `now + quiet_horizon`.
-        if now >= self.src_next {
-            let mut s = u64::MAX;
-            for src in &self.sources {
-                let q = src.quiet_horizon(SRC_SCAN_CAP);
-                s = s.min(now + q);
-                if q == 0 {
-                    break;
-                }
-            }
-            self.src_next = s;
-        }
-        let mut target = self
-            .calendar
-            .next_due()
-            .unwrap_or(u64::MAX)
-            .min(self.src_next)
-            .min(self.cfg.max_cycles);
-        if let Some(fm) = self.fault.as_ref() {
-            // A scheduled fault is a wake-up event: never jump over a
-            // kill or a flaky edge.
-            target = target.min(fm.next_transition_at_or_after(now));
-        }
-        if self.cfg.cancel.is_some() {
-            // Never jump a cancellation poll point.
-            target = target.min((now / CANCEL_BATCH + 1) * CANCEL_BATCH);
-        }
-        if let Some(t) = self.meas.telemetry.as_deref() {
-            // Epoch boundaries are wake-up points: land on them exactly
-            // so every engine snapshots at the same cycles.
-            target = target.min(t.next);
-        }
-        if target <= now {
-            return;
-        }
-        let skipped = target - now;
-        for src in &mut self.sources {
-            src.fast_forward(skipped);
-        }
-        self.calendar.advance_to(target - 1);
-        self.meas.channel_load.tick_n(skipped);
-        self.phases.fast_forwarded += skipped;
-        self.now = target;
-        // A clamped jump can land exactly on the epoch boundary; the
-        // skipped cycles changed no counter, so snapshotting here is
-        // bit-identical to having stepped through them.
-        self.telemetry_boundary();
     }
 
     /// Whether the tagged sample has been fully created and received.
     #[must_use]
     pub fn sample_complete(&self) -> bool {
-        self.meas.tagged_created >= self.cfg.sample_packets
-            && self.meas.tagged_done >= self.meas.tagged_created
+        self.meas.sample_complete(self.cfg.sample_packets)
     }
 
     /// Router ticks executed so far (work accounting; the event-driven
     /// and sharded-parallel engines execute fewer than `cycles × nodes`).
     #[must_use]
     pub fn router_ticks(&self) -> u64 {
-        self.router_ticks + self.shards.as_ref().map_or(0, ShardSet::router_ticks)
+        self.shards.router_ticks()
     }
 
     /// Total flits injected by all sources so far.
@@ -1220,7 +858,7 @@ impl Network {
     /// delivered).
     #[must_use]
     pub fn flits_in_flight(&self) -> u64 {
-        self.calendar.flits_in_flight() + self.shards.as_ref().map_or(0, ShardSet::flits_in_flight)
+        self.shards.flits_in_flight()
     }
 
     /// Flits currently buffered inside routers.
@@ -1277,35 +915,10 @@ impl Network {
     ///
     /// Under [`EngineKind::ParallelShards`] the run executes on a
     /// persistent scoped worker pool (one thread per shard); the result
-    /// is bit-identical to the serial engines regardless of shard count
-    /// or thread schedule.
+    /// is bit-identical to the one-shard engines regardless of shard
+    /// count or thread schedule.
     pub fn run(mut self) -> RunResult {
-        let cancelled = if matches!(self.cfg.engine, EngineKind::ParallelShards { .. }) {
-            self.run_parallel()
-        } else {
-            let cancel = self.cfg.cancel.clone();
-            let event_driven = self.cfg.engine == EngineKind::EventDriven;
-            let mut cancelled = false;
-            while self.now < self.cfg.max_cycles && !self.sample_complete() {
-                if self.now.is_multiple_of(CANCEL_BATCH)
-                    && cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-                {
-                    cancelled = true;
-                    break;
-                }
-                if event_driven {
-                    let before = self.now;
-                    self.maybe_fast_forward();
-                    if self.now != before {
-                        // Re-check the cycle limit, the sample, and the
-                        // cancellation poll point before executing.
-                        continue;
-                    }
-                }
-                self.step();
-            }
-            cancelled
-        };
+        let cancelled = self.run_lockstep();
         self.assert_flit_conservation();
         let saturated = !self.sample_complete();
         let span = self
@@ -1419,6 +1032,8 @@ fn split_shards<'a>(
     mut work_epoch: &'a mut [u64],
     mut work_ewma: &'a mut [u64],
 ) -> Vec<ShardCtx<'a>> {
+    // The work meters are empty when rebalancing is off.
+    let metering = !work_epoch.is_empty();
     let mut ctxs = Vec::with_capacity(ranges.len());
     let mut aux_iter = aux.iter_mut();
     for (idx, &(lo, hi)) in ranges.iter().enumerate() {
@@ -1437,9 +1052,10 @@ fn split_shards<'a>(
         drops = rest;
         let (a, rest) = std::mem::take(&mut active).split_at_mut(n);
         active = rest;
-        let (we, rest) = std::mem::take(&mut work_epoch).split_at_mut(n);
+        let m = if metering { n } else { 0 };
+        let (we, rest) = std::mem::take(&mut work_epoch).split_at_mut(m);
         work_epoch = rest;
-        let (ww, rest) = std::mem::take(&mut work_ewma).split_at_mut(n);
+        let (ww, rest) = std::mem::take(&mut work_ewma).split_at_mut(m);
         work_ewma = rest;
         ctxs.push(ShardCtx {
             idx,
@@ -1457,105 +1073,6 @@ fn split_shards<'a>(
         });
     }
     ctxs
-}
-
-/// The serial measurement commit of the sharded-parallel engine: drains
-/// every shard's per-cycle records **in shard (= node) order**, replaying
-/// exactly the serial engines' within-cycle event sequence — tagging
-/// first (the source phase precedes every ejection), then the
-/// floating-point latency accumulators and channel-load counters. This
-/// is the only place per-shard state is merged, and it never depends on
-/// thread completion order.
-struct Committer<'a> {
-    cfg: &'a NetworkConfig,
-    meas: &'a mut Measurement,
-}
-
-impl Committer<'_> {
-    fn sample_complete(&self) -> bool {
-        self.meas.tagged_created >= self.cfg.sample_packets
-            && self.meas.tagged_done >= self.meas.tagged_created
-    }
-
-    fn commit(&mut self, now: u64, outs: &[Mutex<ShardOut>]) {
-        let measuring = now >= self.cfg.warmup_cycles;
-        // Tagging first: the serial engines tag during the source phase,
-        // before any ejection of the same cycle is observed. (A packet
-        // created this cycle cannot eject this cycle — every path has
-        // ≥ 1 cycle of link latency — but the measure_start transition
-        // must see the source-phase state.)
-        for out in outs {
-            let mut o = out.lock().expect("shard out poisoned");
-            for id in o.created.drain(..) {
-                if measuring {
-                    self.meas.tag_created(id, now, self.cfg);
-                }
-            }
-        }
-        // Then the ejection-side accumulators, in shard (= node) order.
-        for (lane, out) in outs.iter().enumerate() {
-            let mut o = out.lock().expect("shard out poisoned");
-            self.meas.flits_ejected += o.ejected;
-            if self.meas.measure_start.is_some() {
-                self.meas.measured_flits += o.ejected;
-            }
-            o.ejected = 0;
-            for (node, port) in o.loads.drain(..) {
-                self.meas.channel_load.record(node as usize, port as usize);
-            }
-            for (packet, created, dest) in o.tails.drain(..) {
-                self.meas.record_tail(packet, created, now, dest as usize);
-            }
-            // Dropped tagged packets resolve here, after tagging above
-            // (a packet clipped at injection the cycle it was created
-            // is tagged first, exactly like the serial engines). Only a
-            // counter — order against tails is immaterial.
-            for packet in o.drops.drain(..) {
-                self.meas.record_dropped(packet);
-            }
-            // Telemetry deltas fold in fixed shard order (or just
-            // reset, so a later telemetry run never inherits garbage).
-            if let Some(t) = self.meas.telemetry.as_deref_mut() {
-                t.absorb_shard(lane, &mut o);
-            } else {
-                o.injected = 0;
-                o.ticks = 0;
-                o.mail_flits = 0;
-                o.mail_credits = 0;
-                o.drop_stats = DropStats::default();
-                o.span_nanos = [0; 3];
-            }
-        }
-        self.meas.channel_load.tick();
-    }
-
-    /// Emits the epoch snapshot if `cycle` — the first *uncommitted*
-    /// cycle — is the telemetry boundary. Runs only in the serial
-    /// section (every worker parked) or after a fast-forward grant
-    /// (workers touch only their own shard state), so the measurement
-    /// and mailbox state it reads are stable.
-    fn telemetry_boundary(&mut self, cycle: u64, fault: Option<&FaultModel>, phases: &PhaseNanos) {
-        let Some(t) = self.meas.telemetry.as_deref() else {
-            return;
-        };
-        if cycle != t.next {
-            return;
-        }
-        let unreachable = fault.map_or(0, |f| f.unreachable_pairs(cycle));
-        let meas = &mut *self.meas;
-        let counts = BoundaryCounts {
-            flits_ejected: meas.flits_ejected,
-            tagged_created: meas.tagged_created,
-            tagged_done: meas.tagged_done,
-            unreachable_pairs: unreachable,
-        };
-        meas.telemetry.as_deref_mut().expect("checked above").emit(
-            cycle,
-            counts,
-            phases,
-            EngineView::Sharded,
-        );
-    }
 }
 
 #[cfg(test)]
@@ -1593,7 +1110,7 @@ mod tests {
         let lat = r.avg_latency.expect("sample completed");
         // Paper: 36 cycles (one extra stage per hop). Our credit-loop
         // accounting charges the uncovered 4-buffer credit loop ~2 cycles
-        // more at the source than the paper's (see EXPERIMENTS.md).
+        // more at the source than the paper's.
         assert!((33.0..41.0).contains(&lat), "VC zero-load latency {lat}");
     }
 

@@ -12,32 +12,33 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseNanos {
     /// Delivering the flits and credits due on the calendar into
-    /// routers and sources (under the sharded-parallel engine: plus
-    /// scheduling the boundary mail).
+    /// routers and sources, plus scheduling the boundary mail other
+    /// shards sent.
     pub delivery: u64,
     /// Source packet generation and injection.
     pub sources: u64,
     /// Router ticks, including departure forwarding and ejection.
     pub router: u64,
-    /// Statistics upkeep (channel-load accounting, cycle bookkeeping;
-    /// under the sharded-parallel engine: the serial node-order commit of
-    /// tagging, latency, and channel-load state).
+    /// The serial section: the node-order commit of tagging, latency,
+    /// and channel-load state, the telemetry boundary, and the stop,
+    /// skip, and rebalance decisions.
     pub stats: u64,
     /// Time the coordinating thread spent waiting at the per-cycle gate
-    /// barrier of the sharded-parallel engine — straggler imbalance plus
-    /// synchronization cost. Always zero for the serial engines.
+    /// of a [`crate::sim::Network::run`] — straggler imbalance plus
+    /// synchronization cost. With one shard every wait is empty, so this
+    /// is only the cost of the gate's bookkeeping.
     pub barrier: u64,
-    /// Barrier wait *episodes* the coordinating thread entered. Divided
-    /// by the executed cycle count this gives barrier waits per cycle —
-    /// the fused-phase protocol holds it at one per executed cycle where
-    /// the original three-phase protocol paid three.
+    /// Gate wait *episodes* the coordinating thread entered: one per
+    /// executed cycle of a [`crate::sim::Network::run`] (the inline
+    /// [`crate::sim::Network::step`] has no gate), whatever the shard
+    /// count.
     pub barrier_waits: u64,
     /// Cycles skipped by quiescence fast-forward (everything idle until
     /// the next calendar event), which execute no phases and wait at no
     /// barrier.
     pub fast_forwarded: u64,
     /// Shard repartitions performed by the work-metered rebalancer
-    /// (zero for the serial engines and with the knob off).
+    /// (zero for the one-shard engines and with the knob off).
     pub rebalances: u64,
     /// Nodes whose owning shard changed, summed over all rebalances.
     pub migrated_nodes: u64,
@@ -52,8 +53,8 @@ pub struct PhaseNanos {
 }
 
 impl PhaseNanos {
-    /// Adds one cycle's phase boundaries: delivery ran `t0..t1`, sources
-    /// `t1..t2`, router ticks `t2..t3`, stats upkeep `t3..t4`.
+    /// Adds one inline step's phase boundaries: delivery ran `t0..t1`,
+    /// sources `t1..t2`, router ticks `t2..t3`, the commit `t3..t4`.
     pub fn accumulate(&mut self, t0: Instant, t1: Instant, t2: Instant, t3: Instant, t4: Instant) {
         self.delivery += (t1 - t0).as_nanos() as u64;
         self.sources += (t2 - t1).as_nanos() as u64;
@@ -61,13 +62,13 @@ impl PhaseNanos {
         self.stats += (t4 - t3).as_nanos() as u64;
     }
 
-    /// Adds one sharded-parallel cycle measured on the coordinating
+    /// Adds one executed cycle of a run, measured on the coordinating
     /// thread, whose shard is representative of the (balanced) others:
-    /// `t[0]..t[1]` the gate wait for follower shards plus the skip
-    /// decision, `t[1]..t[2]` the serial measurement commit, `t[2]..t[3]`
-    /// cycle-begin mail scheduling plus calendar delivery, `t[3]..t[4]`
-    /// source injection, `t[4]..t[5]` router ticks (the fused compute
-    /// phase runs `t[2]..t[5]` with no internal barrier).
+    /// `t[0]..t[1]` the gate wait for follower shards, `t[1]..t[2]` the
+    /// serial section, `t[2]..t[3]` cycle-begin mail scheduling plus
+    /// calendar delivery, `t[3]..t[4]` source injection, `t[4]..t[5]`
+    /// router ticks and the quiescence vote (the fused compute phase
+    /// runs `t[2]..t[5]` with no internal barrier).
     pub fn accumulate_parallel(&mut self, t: &[Instant; 6]) {
         self.barrier += (t[1] - t[0]).as_nanos() as u64;
         self.barrier_waits += 1;
@@ -97,7 +98,7 @@ impl PhaseNanos {
     /// Mean per-shard `work_max / work_mean` ratio over the metered
     /// rebalance epochs: 1.0 is perfect balance, 2.0 means the busiest
     /// shard carried twice the mean. 0.0 when no epoch was metered
-    /// (serial engines, knob off, or a run shorter than one epoch).
+    /// (one-shard engines, knob off, or a run shorter than one epoch).
     #[must_use]
     pub fn work_imbalance(&self) -> f64 {
         if self.imbalance_epochs == 0 {

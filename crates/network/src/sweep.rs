@@ -116,7 +116,7 @@ pub fn sweep(base: &NetworkConfig, opts: &SweepOptions) -> Vec<LoadPoint> {
 /// [`std::thread::available_parallelism`] (spawning one thread per load
 /// point oversubscribes the machine on large sweeps). Each point is a
 /// queue task whose *width* is the threads one run occupies — 1 for the
-/// serial engines, the shard count for [`EngineKind::ParallelShards`] —
+/// one-shard engines, the shard count for [`EngineKind::ParallelShards`] —
 /// and the queue keeps the total width of concurrently running points
 /// within the budget, the `workers × shards ≤ cores` arithmetic this
 /// module used to approximate per-sweep (see [`runqueue::worker_budget`]

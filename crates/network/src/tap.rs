@@ -1,5 +1,5 @@
-//! Engine-side telemetry state: the glue between the simulator's three
-//! engines and the dependency-free [`telemetry`] crate.
+//! Engine-side telemetry state: the glue between the simulator's engine
+//! core and the dependency-free [`telemetry`] crate.
 //!
 //! A [`TelemetryState`] is allocated only when
 //! [`crate::NetworkConfig::with_telemetry`] is set — telemetry off means
@@ -10,15 +10,14 @@
 //!
 //! The snapshot stream's **counter** section is part of the engine
 //! equivalence contract: it must be bit-identical across engine kinds,
-//! shard counts, thread schedules, and barrier kinds. That works
-//! because every counter is either maintained at a serially-ordered
-//! point (the serial engines' own step functions, or the sharded
-//! engine's leader-only commit which drains shard outputs in fixed
-//! shard order) or recomputed at the boundary from state that is itself
-//! bit-identical (`Measurement` totals, the pure
-//! `FaultModel::unreachable_pairs` function). **Gauges** are
-//! engine-specific diagnostics — router ticks, mailbox traffic, barrier
-//! waits — and are excluded from the identity check by design.
+//! shard counts, and thread schedules. That works because every counter
+//! is either maintained at a serially-ordered point (the leader-only
+//! commit, which drains shard outputs in fixed shard order) or
+//! recomputed at the boundary from state that is itself bit-identical
+//! (`Measurement` totals, the pure `FaultModel::unreachable_pairs`
+//! function). **Gauges** are engine-specific diagnostics — router
+//! ticks, mailbox traffic, gate waits — and are excluded from the
+//! identity check by design.
 
 use crate::fault::{DropReason, DropStats, DROP_REASONS};
 use crate::shard::ShardOut;
@@ -51,11 +50,11 @@ const DROP_PACKET_NAMES: [&str; DROP_REASONS] = [
 /// sample grows the buffer by doubling past this point.
 const FLOW_RESERVE_MAX: u64 = 1 << 16;
 
-/// The four serial phase span names, matching [`PhaseNanos`] order.
-const SERIAL_PHASES: [&str; 4] = ["delivery", "sources", "router", "stats"];
-/// The three fused sharded phase span names, matching
-/// `ShardOut::span_nanos` order.
-const SHARD_PHASES: [&str; 3] = ["delivery", "sources", "router"];
+/// The phase span names: the three fused phases every shard runs, in
+/// `ShardOut::span_nanos` order, then the leader's serial section
+/// (commit, telemetry boundary, stop and skip decision), which only
+/// lane 0 records.
+const PHASES: [&str; 4] = ["delivery", "sources", "router", "stats"];
 
 /// Ids of every registered metric, in registration (= schema) order.
 struct Ids {
@@ -82,8 +81,8 @@ struct Ids {
 /// `phase_timing` are on.
 struct TraceState {
     log: TraceLog,
-    /// Cumulative per-lane phase nanos (serial engines use lane 0 with
-    /// all four slots; shards use their own lane with the first three).
+    /// Cumulative per-lane phase nanos, in [`PHASES`] order (the
+    /// `stats` slot is lane 0's only).
     cum: Vec<[u64; 4]>,
     /// The cumulative values at the previous epoch boundary.
     last: Vec<[u64; 4]>,
@@ -104,23 +103,6 @@ pub(crate) struct BoundaryCounts {
     /// Source→destination pairs currently unroutable under the fault
     /// plan (pure function of config and cycle).
     pub(crate) unreachable_pairs: u64,
-}
-
-/// Which engine shape is emitting a snapshot — decides where the
-/// engine-local gauges and phase spans come from.
-pub(crate) enum EngineView {
-    /// A serial engine: gauges read off the `Network` directly, spans
-    /// diffed from the cumulative [`PhaseNanos`].
-    Serial {
-        /// Total router ticks so far.
-        router_ticks: u64,
-        /// Flits and credits in flight on the delivery calendar (the
-        /// cycle engine's too: every serial engine delivers through it).
-        wheel_pending: u64,
-    },
-    /// The sharded engine: gauges and spans were accumulated shard by
-    /// shard at commit time via [`TelemetryState::absorb_shard`].
-    Sharded,
 }
 
 /// All telemetry state of one run. Boxed inside `Measurement` so the
@@ -161,7 +143,7 @@ impl fmt::Debug for TelemetryState {
 impl TelemetryState {
     /// Builds the full registry schema. `samples` is the tagged sample
     /// size, which sizes the flow-sample buffer; `lanes` is the shard
-    /// count (1 for the serial engines); `tracing` enables span
+    /// count; `tracing` enables span
     /// accumulation and should mirror `phase_timing`.
     pub(crate) fn new(epoch: u64, nodes: usize, samples: u64, lanes: usize, tracing: bool) -> Self {
         let mut reg = MetricsRegistry::new();
@@ -204,22 +186,6 @@ impl TelemetryState {
         self.stream = Some(tap);
     }
 
-    /// Counts one flit handed to the injection stage (pre-clip, so the
-    /// counter matches the sources' own `flits_injected` accounting).
-    #[inline]
-    pub(crate) fn count_injected(&mut self) {
-        self.reg.add(self.ids.flits_injected, 1);
-    }
-
-    /// Counts one fault-layer drop.
-    #[inline]
-    pub(crate) fn count_drop(&mut self, reason: DropReason, head: bool) {
-        self.reg.add(self.ids.drop_flits[reason as usize], 1);
-        if head {
-            self.reg.add(self.ids.drop_packets[reason as usize], 1);
-        }
-    }
-
     /// Folds one shard's per-cycle telemetry deltas into the registry
     /// and resets them. Called by the serial commit for every shard in
     /// fixed shard order, so the counter section stays deterministic.
@@ -232,6 +198,11 @@ impl TelemetryState {
         out.mail_flits = 0;
         self.reg.add(self.ids.mail_credits, out.mail_credits);
         out.mail_credits = 0;
+        // A level, not a delta: lane 0 restarts the sum over shards.
+        if lane == 0 {
+            self.reg.set(self.ids.wheel_pending, 0);
+        }
+        self.reg.add(self.ids.wheel_pending, out.wheel_pending);
         for r in DropReason::ALL {
             let i = r as usize;
             self.reg
@@ -252,13 +223,7 @@ impl TelemetryState {
     /// [`TelemetryState::next`] first): refreshes the boundary-computed
     /// counters and the gauges, records into the retained log and the
     /// optional stream, flushes phase spans, and advances the boundary.
-    pub(crate) fn emit(
-        &mut self,
-        cycle: u64,
-        counts: BoundaryCounts,
-        phases: &PhaseNanos,
-        view: EngineView,
-    ) {
+    pub(crate) fn emit(&mut self, cycle: u64, counts: BoundaryCounts, phases: &PhaseNanos) {
         debug_assert_eq!(cycle, self.next, "emit off the epoch boundary");
         self.reg.set(self.ids.flits_ejected, counts.flits_ejected);
         self.reg.set(self.ids.tagged_created, counts.tagged_created);
@@ -269,29 +234,15 @@ impl TelemetryState {
         self.reg.set(self.ids.barrier_waits, phases.barrier_waits);
         self.reg.set(self.ids.rebalances, phases.rebalances);
         self.reg.set(self.ids.migrated_nodes, phases.migrated_nodes);
-        if let EngineView::Serial {
-            router_ticks,
-            wheel_pending,
-        } = view
-        {
-            self.reg.set(self.ids.router_ticks, router_ticks);
-            self.reg.set(self.ids.wheel_pending, wheel_pending);
-        }
         let snap = self.reg.snapshot(cycle, self.epochs);
         self.mem.record(&snap);
         if let Some(stream) = self.stream.as_mut() {
             stream.record(&snap);
         }
         if let Some(tr) = self.trace.as_mut() {
-            if let EngineView::Serial { .. } = view {
-                tr.cum[0] = [phases.delivery, phases.sources, phases.router, phases.stats];
-            }
-            let names: &[&'static str] = match view {
-                EngineView::Serial { .. } => &SERIAL_PHASES,
-                EngineView::Sharded => &SHARD_PHASES,
-            };
+            tr.cum[0][3] = phases.stats;
             for lane in 0..tr.cum.len() {
-                for (p, name) in names.iter().enumerate() {
+                for (p, name) in PHASES.iter().enumerate() {
                     tr.log.push(lane, name, tr.cum[lane][p] - tr.last[lane][p]);
                 }
                 tr.last[lane] = tr.cum[lane];
@@ -332,23 +283,21 @@ mod tests {
     fn emit_advances_the_boundary_and_records_both_sections() {
         let mut t = TelemetryState::new(64, 4, 100, 1, false);
         assert_eq!(t.next, 64);
-        t.count_injected();
-        t.count_drop(DropReason::Lossy, true);
         let counts = BoundaryCounts {
             flits_ejected: 7,
             tagged_created: 3,
             tagged_done: 2,
             unreachable_pairs: 1,
         };
-        t.emit(
-            64,
-            counts,
-            &PhaseNanos::default(),
-            EngineView::Serial {
-                router_ticks: 99,
-                wheel_pending: 5,
-            },
-        );
+        let mut out = ShardOut {
+            injected: 1,
+            ticks: 99,
+            wheel_pending: 5,
+            ..ShardOut::default()
+        };
+        out.drop_stats.count(DropReason::Lossy, true);
+        t.absorb_shard(0, &mut out);
+        t.emit(64, counts, &PhaseNanos::default());
         assert_eq!(t.next, 128);
         let (log, flows, trace) = t.into_parts();
         assert_eq!(log.len(), 1);
@@ -371,29 +320,36 @@ mod tests {
             ticks: 10,
             mail_flits: 2,
             mail_credits: 1,
+            wheel_pending: 6,
             span_nanos: [100, 200, 300],
             ..ShardOut::default()
         };
         out.drop_stats.flits[DropReason::LinkDown as usize] = 4;
+        t.absorb_shard(0, &mut ShardOut::default());
         t.absorb_shard(1, &mut out);
         assert_eq!(out.injected, 0);
         assert_eq!(out.ticks, 0);
         assert_eq!(out.span_nanos, [0; 3]);
         assert_eq!(out.drop_stats, DropStats::default());
-        t.emit(
-            32,
-            BoundaryCounts::default(),
-            &PhaseNanos::default(),
-            EngineView::Sharded,
-        );
+        let phases = PhaseNanos {
+            stats: 50,
+            ..PhaseNanos::default()
+        };
+        t.emit(32, BoundaryCounts::default(), &phases);
         let (log, _, trace) = t.into_parts();
         assert_eq!(log.value(0, "flits_injected"), Some(3));
         assert_eq!(log.value(0, "router_ticks"), Some(10));
         assert_eq!(log.value(0, "mail_flits"), Some(2));
+        assert_eq!(log.value(0, "wheel_pending"), Some(6));
         assert_eq!(log.value(0, "dropped_flits_link_down"), Some(4));
         let spans = trace.unwrap();
-        // Only lane 1 accumulated nanos; three spans, one per phase.
-        assert_eq!(spans.spans().len(), 3);
-        assert!(spans.spans().iter().all(|s| s.lane == 1));
+        // Lane 1 accumulated three phase spans; lane 0 only the
+        // leader's serial section.
+        let lane = |l: u32| -> Vec<&str> {
+            let spans = spans.spans().iter().filter(|s| s.lane == l);
+            spans.map(|s| s.name).collect()
+        };
+        assert_eq!(lane(1), ["delivery", "sources", "router"]);
+        assert_eq!(lane(0), ["stats"]);
     }
 }

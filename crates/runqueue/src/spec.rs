@@ -223,22 +223,9 @@ fn parse_value(s: &str) -> Option<Value> {
         if inner.is_empty() {
             return Some(Value::List(Vec::new()));
         }
-        // A leading quote makes it a string list; strings may contain
-        // commas, so split on `","` boundaries rather than bare commas.
+        // A leading quote makes it a string list.
         if inner.starts_with('"') {
-            let inner = inner.strip_suffix('"')?;
-            let items: Option<Vec<String>> = inner
-                .split("\",")
-                .map(|item| {
-                    let item = item.trim().strip_prefix('"')?;
-                    let item = item.strip_suffix('"').unwrap_or(item);
-                    if item.contains('"') {
-                        return None;
-                    }
-                    Some(item.to_string())
-                })
-                .collect();
-            return items.map(Value::StrList);
+            return parse_str_list(inner).map(Value::StrList);
         }
         let items: Option<Vec<f64>> = inner
             .split(',')
@@ -247,6 +234,24 @@ fn parse_value(s: &str) -> Option<Value> {
         return items.map(Value::List);
     }
     s.parse::<f64>().ok().map(Value::Num)
+}
+
+/// Parses the inside of a string list, `"a", "b"`: quoted items
+/// separated by commas, whitespace allowed around each item. Items are
+/// read quote to quote, so they may hold commas, brackets and
+/// surrounding whitespace — anything but a double quote.
+fn parse_str_list(mut rest: &str) -> Option<Vec<String>> {
+    let mut items = Vec::new();
+    loop {
+        let body = rest.trim_start().strip_prefix('"')?;
+        let end = body.find('"')?;
+        items.push(body[..end].to_string());
+        rest = body[end + 1..].trim_start();
+        if rest.is_empty() {
+            return Some(items);
+        }
+        rest = rest.strip_prefix(',')?;
+    }
 }
 
 #[cfg(test)]
@@ -335,6 +340,13 @@ seeds = 2
             Some(&["a,b".to_string(), "c#d".to_string()][..])
         );
         assert_eq!(f.defaults["xs"].as_list(), None, "not a numeric list");
+        // Items are read quote to quote: a leading comma and surrounding
+        // whitespace belong to the item.
+        let f = parse("xs = [\",a\", \" b \"]\n").unwrap();
+        assert_eq!(
+            f.defaults["xs"].as_str_list(),
+            Some(&[",a".to_string(), " b ".to_string()][..])
+        );
         for bad in [
             "xs = [\"a\", 1]\n", // mixed
             "xs = [\"a]\n",      // unterminated string

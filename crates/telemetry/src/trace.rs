@@ -1,8 +1,7 @@
 //! Span-based phase tracing with Chrome trace-event export.
 //!
 //! Engines accumulate wall-clock phase durations per *lane* (one lane
-//! per shard; the serial engines use lane 0) and push one span per
-//! phase per epoch. Each lane keeps its own running timestamp cursor,
+//! per shard) and push one span per phase per epoch. Each lane keeps its own running timestamp cursor,
 //! so a lane's spans tile a private timeline whose extent is exactly
 //! the time that lane spent executing — barrier stalls, migrations, and
 //! fast-forwards then show up as epochs whose lanes have very different

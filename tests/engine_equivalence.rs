@@ -451,15 +451,13 @@ fn sharded_inline_step_matches_threaded_run() {
 }
 
 /// Very low load forces long quiescent stretches between injections —
-/// the regime where the sharded engine's quiescence fast-forward skips
-/// whole cycle ranges instead of executing (and paying a gate barrier
-/// for) each one. Shard counts {1, 2, 4, 7} × both barrier kinds must
-/// stay bit-identical to the serial event engine, with *exact*
-/// router-tick equality: a fast-forwarded cycle ticks nothing, exactly
-/// like the cycles the serial event engine skips.
+/// the regime where the quiescence fast-forward skips whole cycle ranges
+/// instead of executing (and paying a gate episode for) each one. Shard
+/// counts {1, 2, 4, 7} must stay bit-identical to the event engine, with
+/// *exact* router-tick equality: a fast-forwarded cycle ticks nothing,
+/// whatever the partition.
 #[test]
 fn sharded_fast_forward_stays_bit_identical_across_barriers() {
-    use peh_dally::noc_network::BarrierKind;
     let cfg = small(RouterKind::SpeculativeVc {
         vcs: 2,
         buffers_per_vc: 4,
@@ -469,47 +467,43 @@ fn sharded_fast_forward_stays_bit_identical_across_barriers() {
     .with_sample(60)
     .with_max_cycles(200_000)
     .with_phase_timing(true);
-    // The serial engines must agree first: the event engine's
-    // fast-forward is the reference the sharded skip is measured
-    // against.
+    // The cycle-driven reference never skips; the event engine's
+    // fast-forward is what the sharded skip is measured against.
     let (cycle, event) = run_both(cfg.clone());
-    assert_equivalent("low-load serial", &cycle, &event);
-    for barrier in [BarrierKind::Spin, BarrierKind::Tree] {
-        for shards in [1usize, 2, 4, 7] {
-            let label = format!("low-load barrier={barrier} shards={shards}");
-            let sharded = Network::new(
-                cfg.clone()
-                    .with_barrier(barrier)
-                    .with_engine(EngineKind::ParallelShards { shards }),
-            )
-            .run();
-            assert_equivalent(&label, &event, &sharded);
-            assert_eq!(
-                event.work.router_ticks, sharded.work.router_ticks,
-                "{label}: fast-forwarded cycles must tick nothing"
-            );
-            let phases = sharded.phases.expect("phase timing enabled");
-            assert!(
-                phases.fast_forwarded > 0,
-                "{label}: a 1% load run must hit the quiescence \
-                 fast-forward at least once"
-            );
-            assert!(
-                phases.barrier_waits + phases.fast_forwarded <= sharded.cycles,
-                "{label}: executed cycles ({} waits) plus skipped cycles \
-                 ({}) cannot exceed simulated cycles ({})",
-                phases.barrier_waits,
-                phases.fast_forwarded,
-                sharded.cycles
-            );
-            assert!(
-                phases.barrier_waits < sharded.cycles,
-                "{label}: the fused one-gate protocol plus fast-forward \
-                 must wait fewer times ({}) than it simulates cycles ({})",
-                phases.barrier_waits,
-                sharded.cycles
-            );
-        }
+    assert_equivalent("low-load one-shard", &cycle, &event);
+    for shards in [1usize, 2, 4, 7] {
+        let label = format!("low-load shards={shards}");
+        let sharded = Network::new(
+            cfg.clone()
+                .with_engine(EngineKind::ParallelShards { shards }),
+        )
+        .run();
+        assert_equivalent(&label, &event, &sharded);
+        assert_eq!(
+            event.work.router_ticks, sharded.work.router_ticks,
+            "{label}: fast-forwarded cycles must tick nothing"
+        );
+        let phases = sharded.phases.expect("phase timing enabled");
+        assert!(
+            phases.fast_forwarded > 0,
+            "{label}: a 1% load run must hit the quiescence \
+             fast-forward at least once"
+        );
+        assert!(
+            phases.barrier_waits + phases.fast_forwarded <= sharded.cycles,
+            "{label}: executed cycles ({} waits) plus skipped cycles \
+             ({}) cannot exceed simulated cycles ({})",
+            phases.barrier_waits,
+            phases.fast_forwarded,
+            sharded.cycles
+        );
+        assert!(
+            phases.barrier_waits < sharded.cycles,
+            "{label}: the fused one-gate protocol plus fast-forward \
+             must wait fewer times ({}) than it simulates cycles ({})",
+            phases.barrier_waits,
+            sharded.cycles
+        );
     }
 }
 
@@ -559,14 +553,13 @@ fn engines_agree_across_a_long_drain_tail() {
 
 /// Work-metered rebalancing is a pure partition optimization: a hotspot
 /// run that migrates shards mid-flight must stay bit-identical to the
-/// serial event engine — same measurements, same *exact* router-tick
-/// count — for every shard count and both barrier kinds. On the skewed
+/// event engine — same measurements, same *exact* router-tick count —
+/// for every shard count. On the skewed
 /// patterns (an 8×8 mesh so even 7 shards have row-seam slack) the
 /// imbalance must actually trigger migrations at the counts where the
 /// hot rows provably overload one shard.
 #[test]
 fn rebalancing_stays_bit_identical_and_fires_under_skewed_load() {
-    use peh_dally::noc_network::BarrierKind;
     let spec = RouterKind::SpeculativeVc {
         vcs: 2,
         buffers_per_vc: 4,
@@ -599,45 +592,42 @@ fn rebalancing_stays_bit_identical_and_fires_under_skewed_load() {
             .with_max_cycles(8_000)
             .with_rebalance(50, 1.1)
             .with_phase_timing(true);
-        // Serial engines never rebalance — the knob is engine state, not
-        // simulation state — and remain the reference.
+        // The one-shard engines never rebalance — the knob is engine
+        // state, not simulation state — and remain the reference.
         let (cycle, event) = run_both(cfg.clone());
-        assert_equivalent(&format!("{pname} serial"), &cycle, &event);
-        for barrier in [BarrierKind::Spin, BarrierKind::Tree] {
-            for shards in [2usize, 4, 7] {
-                let label = format!("{pname} barrier={barrier} shards={shards} rebalancing");
-                let sharded = Network::new(
-                    cfg.clone()
-                        .with_barrier(barrier)
-                        .with_engine(EngineKind::ParallelShards { shards }),
-                )
-                .run();
-                assert_equivalent(&label, &event, &sharded);
-                assert_eq!(
-                    event.work.router_ticks, sharded.work.router_ticks,
-                    "{label}: a migrated partition must tick exactly the active set"
-                );
-                let phases = sharded.phases.expect("phase timing enabled");
+        assert_equivalent(&format!("{pname} one-shard"), &cycle, &event);
+        for shards in [2usize, 4, 7] {
+            let label = format!("{pname} shards={shards} rebalancing");
+            let sharded = Network::new(
+                cfg.clone()
+                    .with_engine(EngineKind::ParallelShards { shards }),
+            )
+            .run();
+            assert_equivalent(&label, &event, &sharded);
+            assert_eq!(
+                event.work.router_ticks, sharded.work.router_ticks,
+                "{label}: a migrated partition must tick exactly the active set"
+            );
+            let phases = sharded.phases.expect("phase timing enabled");
+            assert!(
+                phases.imbalance_epochs > 0,
+                "{label}: epochs must be metered"
+            );
+            if shards <= 4 {
+                // At 2 and 4 shards the hot rows land inside one even-cut
+                // shard, so the imbalance provably crosses the 1.1
+                // threshold and must migrate; 7 shards may or may not
+                // find a better seam-snapped cut.
                 assert!(
-                    phases.imbalance_epochs > 0,
-                    "{label}: epochs must be metered"
+                    phases.rebalances >= 1,
+                    "{label}: skewed load must trigger at least one \
+                     migration (imbalance {:.2})",
+                    phases.work_imbalance()
                 );
-                if shards <= 4 {
-                    // At 2 and 4 shards the hot rows land inside one
-                    // even-cut shard, so the imbalance provably crosses
-                    // the 1.1 threshold and must migrate; 7 shards may
-                    // or may not find a better seam-snapped cut.
-                    assert!(
-                        phases.rebalances >= 1,
-                        "{label}: skewed load must trigger at least one \
-                         migration (imbalance {:.2})",
-                        phases.work_imbalance()
-                    );
-                    assert!(
-                        phases.migrated_nodes > 0,
-                        "{label}: a migration moves at least one node"
-                    );
-                }
+                assert!(
+                    phases.migrated_nodes > 0,
+                    "{label}: a migration moves at least one node"
+                );
             }
         }
     }
@@ -681,14 +671,14 @@ fn rebalanced_inline_step_matches_threaded_run() {
 
 /// The faulted grid: every fault kind (permanent link kill, router
 /// kill, flaky duty-cycle, lossy, and a mixed plan) × both topologies ×
-/// shard counts {1, 2, 4} × both barrier kinds. Fault decisions are
+/// shard counts {1, 2, 4}. Fault decisions are
 /// pure functions of (config, seed, cycle), so dropped-flit counts,
 /// drop-reason breakdowns, and delivered ratios must stay bit-identical
 /// across all three engines — the same contract the healthy network
 /// gets.
 #[test]
 fn engines_agree_under_faults() {
-    use peh_dally::noc_network::{parse_faults, BarrierKind};
+    use peh_dally::noc_network::parse_faults;
     let spec = RouterKind::SpeculativeVc {
         vcs: 2,
         buffers_per_vc: 4,
@@ -727,17 +717,14 @@ fn engines_agree_under_faults() {
                     "{label}: a kill must disconnect some pairs"
                 );
             }
-            for barrier in [BarrierKind::Spin, BarrierKind::Tree] {
-                for shards in [1usize, 2, 4] {
-                    let slabel = format!("{label} barrier={barrier} shards={shards}");
-                    let sharded = Network::new(
-                        cfg.clone()
-                            .with_barrier(barrier)
-                            .with_engine(EngineKind::ParallelShards { shards }),
-                    )
-                    .run();
-                    assert_equivalent(&slabel, &event, &sharded);
-                }
+            for shards in [1usize, 2, 4] {
+                let slabel = format!("{label} shards={shards}");
+                let sharded = Network::new(
+                    cfg.clone()
+                        .with_engine(EngineKind::ParallelShards { shards }),
+                )
+                .run();
+                assert_equivalent(&slabel, &event, &sharded);
             }
         }
     }
