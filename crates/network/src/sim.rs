@@ -505,8 +505,10 @@ impl Network {
         &self.meas.channel_load
     }
 
-    /// Total source backlog in packets (diagnostic; grows without bound
-    /// past saturation).
+    /// Total source backlog in packets (diagnostic). Past saturation the
+    /// count grows without bound, but memory does not: a source keeps
+    /// only the count and replays waiting packets from a cursor (see
+    /// [`crate::source`]).
     #[must_use]
     pub fn total_backlog(&self) -> usize {
         self.sources.iter().map(Source::backlog).sum()

@@ -1,18 +1,39 @@
 //! Constant-rate traffic sources with a credit-aware network interface.
 //!
 //! A source generates fixed-length packets at a constant rate (fractional
-//! rates accumulate), queues them, and injects flits over the local
-//! channel into its router — one flit per cycle, subject to credit flow
-//! control, interleaving up to `v` packets across the injection port's
-//! virtual channels exactly as a network interface would. Packet latency
-//! is measured from *creation* (entering the source queue), so source
+//! rates accumulate) and injects flits over the local channel into its
+//! router — one flit per cycle, subject to credit flow control,
+//! interleaving up to `v` packets across the injection port's virtual
+//! channels exactly as a network interface would. Packet latency is
+//! measured from *creation* (entering the source backlog), so source
 //! queueing time counts, per the paper.
+//!
+//! # The backlog is replayed, not stored
+//!
+//! Past saturation a source creates packets faster than it injects them,
+//! so its backlog grows with run length. The source does not store the
+//! waiting packets: it keeps only their count and a *replay cursor* — a
+//! copy of its rate accumulator, RNG and cycle taken just before the draw
+//! that created the oldest waiting packet. When an injection VC frees,
+//! the cursor regenerates that packet by repeating the accumulator
+//! additions and [`TrafficPattern::destination`] draws the source made
+//! when it created it, skipping the same self-destination fixed points.
+//! That yields the packet's destination and creation cycle; its id is
+//! `next_seq − queued`, because the waiting packets hold the newest,
+//! contiguous sequence numbers.
+//!
+//! The regeneration is exact: the cursor performs the same floating-point
+//! operations and RNG draws, in the same order, as the walk that created
+//! the packets, so results are bit-identical to a FIFO of stored packets
+//! while a source's memory stays O(1) at any load. The cursor counts one
+//! accumulator addition per cycle, so a source with a backlog must be
+//! stepped on consecutive cycles; engines fast-forward only quiet
+//! sources ([`Source::quiet_horizon`]), which have none.
 
 use arbitration::RoundRobinArbiter;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use router_core::{Flit, PacketFlits, PacketId};
-use std::collections::VecDeque;
 
 use crate::topology::Mesh;
 use crate::traffic::TrafficPattern;
@@ -39,8 +60,44 @@ pub(crate) fn packet_seq(id: PacketId) -> u64 {
 pub struct SourceStep {
     /// Flit injected into the local channel this cycle, if any.
     pub injected: Option<Flit>,
-    /// Packets created (entered the source queue) this cycle.
+    /// Packets created (entered the source backlog) this cycle.
     pub created: Vec<PacketId>,
+}
+
+/// The source's generation walk, resumable from the draw that created
+/// the oldest waiting packet (see the module docs).
+#[derive(Debug, Clone)]
+struct Replay {
+    /// The rate accumulator before that draw's `accum -= 1.0`.
+    accum: f64,
+    /// The RNG before that draw.
+    rng: SmallRng,
+    /// The cycle the walk is in.
+    cycle: u64,
+}
+
+impl Replay {
+    /// Regenerates the next waiting packet's destination and creation
+    /// cycle, repeating the source's additions and draws in order.
+    fn next(
+        &mut self,
+        node: usize,
+        rate: f64,
+        mesh: &Mesh,
+        pattern: &TrafficPattern,
+    ) -> (usize, u64) {
+        loop {
+            while self.accum >= 1.0 {
+                self.accum -= 1.0;
+                let dest = pattern.destination(mesh, node, &mut self.rng);
+                if dest != node {
+                    return (dest, self.cycle);
+                }
+            }
+            self.cycle += 1;
+            self.accum += rate;
+        }
+    }
 }
 
 /// A constant-rate source attached to one node.
@@ -52,14 +109,22 @@ pub struct Source {
     accum: f64,
     next_seq: u64,
     rng: SmallRng,
-    /// Whole packets waiting for an injection VC — allocation-free flit
-    /// cursors, not materialized flit vectors.
-    queue: VecDeque<PacketFlits>,
+    /// Created packets waiting for an injection VC. They hold the newest
+    /// sequence numbers, `next_seq - queued .. next_seq`.
+    queued: usize,
+    /// Regenerates the oldest waiting packet; meaningful only while
+    /// `queued > 0`.
+    replay: Replay,
+    /// The cycle the next step must run at while packets wait (the
+    /// replay counts cycles by accumulator additions).
+    next_cycle: u64,
     /// The packet occupying each injection VC, if any (remaining flits
     /// are generated on demand).
     slots: Vec<Option<PacketFlits>>,
     /// Credits into the router's local input port, per VC.
     credits: Vec<u64>,
+    /// Downstream buffers per injection VC: the most credits a VC holds.
+    credit_cap: u64,
     vc_pick: RoundRobinArbiter,
     /// Total packets created (for diagnostics).
     pub packets_created: u64,
@@ -99,10 +164,17 @@ impl Source {
             packet_len,
             accum,
             next_seq: 0,
+            replay: Replay {
+                accum,
+                rng: rng.clone(),
+                cycle: 0,
+            },
             rng,
-            queue: VecDeque::new(),
+            queued: 0,
+            next_cycle: 0,
             slots: vec![None; vcs],
             credits: vec![credits_per_vc; vcs],
+            credit_cap: credits_per_vc,
             vc_pick: RoundRobinArbiter::new(vcs),
             packets_created: 0,
             flits_injected: 0,
@@ -115,15 +187,24 @@ impl Source {
         self.node
     }
 
-    /// Packets queued or mid-injection (backlog; grows without bound past
-    /// saturation).
+    /// Packets waiting or mid-injection (backlog; grows without bound
+    /// past saturation, in count only — see the module docs).
     #[must_use]
     pub fn backlog(&self) -> usize {
-        self.queue.len() + self.slots.iter().filter(|s| s.is_some()).count()
+        self.queued + self.slots.iter().filter(|s| s.is_some()).count()
     }
 
     /// Returns one credit for injection VC `vc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the VC already holds a credit for every downstream
+    /// buffer — that means a duplicated credit.
     pub fn credit(&mut self, vc: usize) {
+        assert!(
+            self.credits[vc] < self.credit_cap,
+            "credit overflow on injection vc {vc}: duplicate credit"
+        );
         self.credits[vc] += 1;
     }
 
@@ -135,10 +216,20 @@ impl Source {
         out
     }
 
+    /// The id of this source's packet with sequence number `seq`.
+    fn packet_id(&self, seq: u64) -> PacketId {
+        PacketId::new(((self.node as u64) << SEQ_BITS) | seq)
+    }
+
     /// [`Source::step`] into a caller-retained buffer, so a simulator
     /// stepping thousands of sources per cycle reuses one `created`
     /// allocation instead of building a fresh `Vec` whenever a packet is
     /// generated. `out` is cleared first.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts that a source with waiting packets is stepped on
+    /// consecutive cycles.
     pub fn step_into(
         &mut self,
         now: u64,
@@ -149,44 +240,62 @@ impl Source {
         out.injected = None;
         out.created.clear();
 
-        // Fast path: nothing queued, nothing mid-injection, and the rate
+        // Fast path: nothing waiting, nothing mid-injection, and the rate
         // accumulator cannot cross 1.0 this cycle — the step is pure
         // accumulation. Bit-exact shortcut of the full path below (the
         // `accum + rate` comparison is the same addition the slow path
         // performs, and an arbiter without requests does not move).
         if self.accum + self.rate < 1.0
-            && self.queue.is_empty()
+            && self.queued == 0
             && self.slots.iter().all(Option::is_none)
         {
             self.accum += self.rate;
             return;
         }
+        debug_assert!(
+            self.queued == 0 || now == self.next_cycle,
+            "source {} with a backlog stepped at cycle {now}, expected {}",
+            self.node,
+            self.next_cycle
+        );
+        self.next_cycle = now + 1;
 
         // Constant-rate generation with fractional accumulation.
         self.accum += self.rate;
         while self.accum >= 1.0 {
+            // The first waiting packet starts the backlog: keep the walk
+            // from just before its draw.
+            let start = (self.queued == 0).then(|| Replay {
+                accum: self.accum,
+                rng: self.rng.clone(),
+                cycle: now,
+            });
             self.accum -= 1.0;
             let dest = pattern.destination(mesh, self.node, &mut self.rng);
             if dest == self.node {
                 continue; // permutation fixed point: nothing to send
             }
-            let id = PacketId::new(((self.node as u64) << SEQ_BITS) | self.next_seq);
+            let id = self.packet_id(self.next_seq);
             self.next_seq += 1;
             self.packets_created += 1;
-            self.queue
-                .push_back(PacketFlits::new(id, dest, 0, now, self.packet_len));
             out.created.push(id);
+            if let Some(start) = start {
+                self.replay = start;
+            }
+            self.queued += 1;
         }
 
-        // Claim free VCs for waiting packets.
+        // Claim free VCs for waiting packets, oldest first.
         for vc in 0..self.slots.len() {
+            if self.queued == 0 {
+                break;
+            }
             if self.slots[vc].is_none() {
-                if let Some(mut packet) = self.queue.pop_front() {
-                    packet.set_vc(vc);
-                    self.slots[vc] = Some(packet);
-                } else {
-                    break;
-                }
+                let (dest, created) = self.replay.next(self.node, self.rate, mesh, pattern);
+                debug_assert!(created <= now, "replay ran past the source");
+                let id = self.packet_id(self.next_seq - self.queued as u64);
+                self.queued -= 1;
+                self.slots[vc] = Some(PacketFlits::new(id, dest, vc, created, self.packet_len));
             }
         }
 
@@ -212,7 +321,7 @@ impl Source {
 
     /// How many consecutive future cycles (up to `cap`) are guaranteed to
     /// take [`Source::step_into`]'s pure-accumulation fast path: the
-    /// source has nothing queued or mid-injection and the rate
+    /// source has nothing waiting or mid-injection and the rate
     /// accumulator cannot cross 1.0 within that many further additions.
     ///
     /// Returns 0 if the very next step might do work. The count is exact
@@ -225,7 +334,7 @@ impl Source {
     /// before the first possible crossing.
     #[must_use]
     pub fn quiet_horizon(&self, cap: u64) -> u64 {
-        if self.queue.is_empty() && self.slots.iter().all(Option::is_none) {
+        if self.queued == 0 && self.slots.iter().all(Option::is_none) {
             let mut accum = self.accum;
             let mut quiet = 0;
             // A denormal-small rate can make `accum + rate == accum`,
@@ -318,9 +427,17 @@ mod tests {
         assert_eq!(injected, 2, "only two credits available");
         s.credit(0);
         assert!(s
-            .step(100, &mesh(), &TrafficPattern::Uniform)
+            .step(20, &mesh(), &TrafficPattern::Uniform)
             .injected
             .is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate credit")]
+    fn duplicate_credit_panics() {
+        let mut s = Source::new(0, 1.0, 5, 2, 3, 1);
+        let _ = s.step(0, &mesh(), &TrafficPattern::Uniform);
+        s.credit(1); // VC 1 never sent a flit: all three credits are home
     }
 
     #[test]
@@ -370,6 +487,35 @@ mod tests {
         assert_eq!(step.created.len(), 1);
         let f = step.injected.expect("injects immediately");
         assert_eq!(f.created, 42);
+    }
+
+    #[test]
+    fn replayed_packets_keep_their_id_and_creation_cycle() {
+        // One packet per cycle, five flits each, one VC: packet `k` is
+        // created at cycle `k` and waits in the backlog until its head
+        // leaves at cycle `5k`, regenerated by the replay cursor.
+        let mut s = Source::new(0, 1.0, 5, 1, 1000, 1);
+        for now in 0..200 {
+            let step = s.step(now, &mesh(), &TrafficPattern::Uniform);
+            let flit = step.injected.expect("link-limited: one flit per cycle");
+            if now % 5 == 0 {
+                assert_eq!(flit.created, now / 5);
+                assert_eq!(flit.packet, s.packet_id(now / 5));
+            }
+        }
+        assert_eq!(s.backlog(), 200 - 200 / 5);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "with a backlog stepped at cycle 7")]
+    fn backlogged_source_must_step_every_cycle() {
+        let mut s = Source::new(0, 1.0, 5, 1, 1000, 1);
+        for now in 0..3 {
+            let _ = s.step(now, &mesh(), &TrafficPattern::Uniform);
+        }
+        assert!(s.backlog() > 1, "packets wait behind the first");
+        let _ = s.step(7, &mesh(), &TrafficPattern::Uniform);
     }
 
     #[test]

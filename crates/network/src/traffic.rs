@@ -48,25 +48,32 @@ impl TrafficPattern {
                     d
                 }
             }
+            // The permutations work on the node index digit by digit
+            // (digit `d` is the coordinate in dimension `d`), without
+            // building coordinate vectors.
             TrafficPattern::Transpose => {
-                let mut coords = mesh.coords(src);
-                coords.reverse();
-                mesh.node_at(&coords)
+                // Reversing the digits: Horner from the lowest digit up.
+                let (k, mut rest) = (mesh.radix(), src);
+                (0..mesh.dims()).fold(0, |acc, _| {
+                    let c = rest % k;
+                    rest /= k;
+                    acc * k + c
+                })
             }
             TrafficPattern::BitComplement => n - 1 - src,
             TrafficPattern::Tornado => {
-                let half = mesh.radix() / 2;
-                let coords: Vec<usize> = mesh
-                    .coords(src)
-                    .into_iter()
-                    .map(|c| (c + half) % mesh.radix())
-                    .collect();
-                mesh.node_at(&coords)
+                let (k, half) = (mesh.radix(), mesh.radix() / 2);
+                let (mut rest, mut place, mut dest) = (src, 1, 0);
+                for _ in 0..mesh.dims() {
+                    dest += (rest % k + half) % k * place;
+                    rest /= k;
+                    place *= k;
+                }
+                dest
             }
             TrafficPattern::NearestNeighbor => {
-                let mut coords = mesh.coords(src);
-                coords[0] = (coords[0] + 1) % mesh.radix();
-                mesh.node_at(&coords)
+                let (k, c) = (mesh.radix(), src % mesh.radix());
+                src - c + (c + 1) % k
             }
             TrafficPattern::Hotspot { hotspot, hotness } => {
                 if rng.gen_bool(hotness.clamp(0.0, 1.0)) {
@@ -171,6 +178,38 @@ mod tests {
         let src = m.node_at(&[1, 6]);
         let d = TrafficPattern::Tornado.destination(&m, src, &mut rng);
         assert_eq!(m.coords(d), vec![5, 2]);
+    }
+
+    #[test]
+    fn permutations_match_their_coordinate_definitions() {
+        let mut rng = SmallRng::seed_from_u64(0);
+        for m in [
+            Mesh::new(8, 2),
+            Mesh::new(5, 2),
+            Mesh::new(3, 3),
+            Mesh::new(4, 1),
+        ] {
+            let k = m.radix();
+            for src in 0..m.nodes() {
+                let c = m.coords(src);
+                let mut t = c.clone();
+                t.reverse();
+                let tornado: Vec<usize> = c.iter().map(|&x| (x + k / 2) % k).collect();
+                let mut nn = c.clone();
+                nn[0] = (nn[0] + 1) % k;
+                for (pattern, want) in [
+                    (TrafficPattern::Transpose, m.node_at(&t)),
+                    (TrafficPattern::Tornado, m.node_at(&tornado)),
+                    (TrafficPattern::NearestNeighbor, m.node_at(&nn)),
+                ] {
+                    assert_eq!(
+                        pattern.destination(&m, src, &mut rng),
+                        want,
+                        "{pattern} {c:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

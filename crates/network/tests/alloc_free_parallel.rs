@@ -11,7 +11,7 @@
 //! `#[global_allocator]` is per-binary.)
 
 use noc_network::config::EngineKind;
-use noc_network::{Network, NetworkConfig, RouterKind};
+use noc_network::{Network, NetworkConfig, RouterKind, TrafficPattern};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -38,6 +38,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+const SPEC_VC: RouterKind = RouterKind::SpeculativeVc {
+    vcs: 2,
+    buffers_per_vc: 4,
+};
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
@@ -72,13 +77,7 @@ fn sharded_steady_state_is_allocation_free() {
     let _serial = serial();
     for shards in [2, 3] {
         run_alloc_free_check(
-            NetworkConfig::mesh(
-                4,
-                RouterKind::SpeculativeVc {
-                    vcs: 2,
-                    buffers_per_vc: 4,
-                },
-            ),
+            NetworkConfig::mesh(4, SPEC_VC),
             EngineKind::ParallelShards { shards },
         );
     }
@@ -86,13 +85,7 @@ fn sharded_steady_state_is_allocation_free() {
     // preserve the zero-steady-state-allocation guarantee end to end
     // (route table, mailboxes sized from mesh.ports(), commit paths).
     run_alloc_free_check(
-        NetworkConfig::for_mesh(
-            noc_network::Mesh::new(3, 3),
-            RouterKind::SpeculativeVc {
-                vcs: 2,
-                buffers_per_vc: 4,
-            },
-        ),
+        NetworkConfig::for_mesh(noc_network::Mesh::new(3, 3), SPEC_VC),
         EngineKind::ParallelShards { shards: 3 },
     );
 }
@@ -100,22 +93,66 @@ fn sharded_steady_state_is_allocation_free() {
 /// The serial engines deliver through the same calendar: its slot
 /// buffers are taken and restored every cycle, so once each slot has
 /// seen its high-water mark neither engine allocates — on a 2-D mesh and
-/// on a 3-D mesh of 7-port routers.
+/// on a 3-D mesh of 7-port routers, and under the deterministic
+/// permutations, whose destinations are computed from the node index.
 #[test]
 fn serial_steady_state_is_allocation_free() {
     let _serial = serial();
     for engine in [EngineKind::EventDriven, EngineKind::CycleDriven] {
         for mesh in [noc_network::Mesh::new(4, 2), noc_network::Mesh::new(3, 3)] {
+            run_alloc_free_check(NetworkConfig::for_mesh(mesh, SPEC_VC), engine);
+        }
+        for pattern in [TrafficPattern::Transpose, TrafficPattern::Tornado] {
             run_alloc_free_check(
-                NetworkConfig::for_mesh(
-                    mesh,
-                    RouterKind::SpeculativeVc {
-                        vcs: 2,
-                        buffers_per_vc: 4,
-                    },
-                ),
+                NetworkConfig::mesh(4, SPEC_VC).with_pattern(pattern),
                 engine,
             );
+        }
+    }
+}
+
+/// Past saturation every source's backlog grows without bound — but
+/// only in count: a backlog is replayed from a cursor, not stored, so a
+/// saturated steady state allocates nothing either. Every window must
+/// be clean here, not just the best one, because a growing structure
+/// would allocate again and again as it doubles.
+#[test]
+fn saturated_steady_state_is_allocation_free() {
+    let _serial = serial();
+    let hotspot = TrafficPattern::Hotspot {
+        hotspot: 5,
+        hotness: 0.6,
+    };
+    for (pattern, load) in [(hotspot, 0.5), (TrafficPattern::Uniform, 0.9)] {
+        for engine in [
+            EngineKind::EventDriven,
+            EngineKind::ParallelShards { shards: 2 },
+        ] {
+            let cfg = NetworkConfig::mesh(4, SPEC_VC)
+                .with_pattern(pattern.clone())
+                .with_injection(load)
+                .with_warmup(100)
+                .with_sample(u64::MAX)
+                .with_max_cycles(u64::MAX)
+                .with_engine(engine);
+            let mut net = Network::new(cfg);
+            let _ = alloc_window(&mut net, 3_000);
+            let backlog = net.total_backlog();
+            let mut windows = [0u64; 5];
+            for w in &mut windows {
+                *w = alloc_window(&mut net, 1_000);
+            }
+            assert!(
+                net.total_backlog() > backlog,
+                "{pattern} at {load} on {engine:?} must be saturated \
+                 (backlog {backlog} -> {})",
+                net.total_backlog()
+            );
+            assert_eq!(
+                windows, [0; 5],
+                "{pattern} at {load} on {engine:?}: saturated windows allocated"
+            );
+            net.assert_flit_conservation();
         }
     }
 }
@@ -177,27 +214,20 @@ fn sharded_rebalance_migration_is_allocation_free() {
     let mut best_migration = u64::MAX;
     let mut best_window = u64::MAX;
     for _ in 0..attempts {
-        let cfg = NetworkConfig::mesh(
-            4,
-            RouterKind::SpeculativeVc {
-                vcs: 2,
-                buffers_per_vc: 4,
-            },
-        )
-        .with_pattern(noc_network::TrafficPattern::Hotspot {
-            hotspot: 5,
-            hotness: 0.6,
-        })
-        // Keep the hotspot below its ejection limit (16 * 0.06 * 0.6 ≈
-        // 0.58 flits/cycle): a saturated hotspot grows queueing latency
-        // without bound, and with it the latency histogram — which would
-        // read as a (real, but unrelated) allocating steady state.
-        .with_injection(0.06)
-        .with_warmup(100)
-        .with_sample(u64::MAX)
-        .with_max_cycles(u64::MAX)
-        .with_engine(EngineKind::ParallelShards { shards: 3 })
-        .with_rebalance(2_000, 1.05);
+        let cfg = NetworkConfig::mesh(4, SPEC_VC)
+            .with_pattern(noc_network::TrafficPattern::Hotspot {
+                hotspot: 5,
+                hotness: 0.6,
+            })
+            // The hotspot stays below its ejection limit (16 * 0.06 * 0.6 ≈
+            // 0.58 flits/cycle); saturated steady states are covered by
+            // `saturated_steady_state_is_allocation_free`.
+            .with_injection(0.06)
+            .with_warmup(100)
+            .with_sample(u64::MAX)
+            .with_max_cycles(u64::MAX)
+            .with_engine(EngineKind::ParallelShards { shards: 3 })
+            .with_rebalance(2_000, 1.05);
         let mut net = Network::new(cfg);
         // Past every capacity plateau, short of the first epoch decision
         // at executed cycle 2000.
@@ -247,19 +277,13 @@ fn sharded_rebalance_migration_is_allocation_free() {
 #[test]
 fn telemetry_instrumented_steady_state_is_allocation_free() {
     let _serial = serial();
-    let cfg = NetworkConfig::mesh(
-        4,
-        RouterKind::SpeculativeVc {
-            vcs: 2,
-            buffers_per_vc: 4,
-        },
-    )
-    .with_injection(0.25)
-    .with_warmup(100)
-    .with_sample(u64::MAX)
-    .with_max_cycles(u64::MAX)
-    .with_telemetry(256)
-    .with_engine(EngineKind::ParallelShards { shards: 3 });
+    let cfg = NetworkConfig::mesh(4, SPEC_VC)
+        .with_injection(0.25)
+        .with_warmup(100)
+        .with_sample(u64::MAX)
+        .with_max_cycles(u64::MAX)
+        .with_telemetry(256)
+        .with_engine(EngineKind::ParallelShards { shards: 3 });
     let mut net = Network::new(cfg);
     let _ = alloc_window(&mut net, 1_500);
     let mut min_window = u64::MAX;
@@ -286,7 +310,7 @@ fn run_alloc_free_check(base: NetworkConfig, engine: EngineKind) {
     let mut net = Network::new(cfg);
 
     // Warm-up: let every retained buffer — calendars, mailboxes, shard
-    // records, scratch, source queues — reach its high-water mark.
+    // records, scratch — reach its high-water mark.
     let _ = alloc_window(&mut net, 1_500);
 
     // Take the minimum over several windows: the counter is global,

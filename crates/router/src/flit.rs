@@ -147,8 +147,8 @@ impl Flit {
 /// Where [`Flit::packet`] materializes a `Vec<Flit>` per packet — one heap
 /// allocation on every injection, millions over a sweep — `PacketFlits` is
 /// a `Copy` cursor that synthesizes each flit on demand. Traffic sources
-/// keep one per pending packet and pop flits as credits allow, so the flit
-/// path performs no per-packet allocation.
+/// keep one per occupied injection VC and pop flits as credits allow, so
+/// the flit path performs no per-packet allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketFlits {
     packet: PacketId,
@@ -194,12 +194,6 @@ impl PacketFlits {
     #[must_use]
     pub fn is_exhausted(&self) -> bool {
         self.next >= self.len
-    }
-
-    /// Rewrites the VC id stamped on the remaining flits (sources assign
-    /// the injection VC when a packet claims one).
-    pub fn set_vc(&mut self, vc: usize) {
-        self.vc = vc;
     }
 }
 
@@ -297,14 +291,13 @@ mod tests {
     }
 
     #[test]
-    fn packet_flits_tracks_remaining_and_vc_rewrite() {
-        let mut p = PacketFlits::new(PacketId::new(1), 9, 0, 0, 3);
+    fn packet_flits_tracks_remaining() {
+        let mut p = PacketFlits::new(PacketId::new(1), 9, 2, 0, 3);
         assert_eq!(p.remaining(), 3);
         assert_eq!(p.len(), 3);
         let head = p.next().unwrap();
         assert_eq!(head.kind, FlitKind::Head);
-        assert_eq!(head.vc, 0);
-        p.set_vc(2);
+        assert_eq!(head.vc, 2);
         assert_eq!(p.next().unwrap().vc, 2);
         assert!(!p.is_exhausted());
         assert_eq!(p.next().unwrap().kind, FlitKind::Tail);
